@@ -10,17 +10,22 @@
 //	E8  BenchmarkExplore             sequential vs deduplicating explorer
 //	—   BenchmarkCheckMatcher        pruned vs naive matcher ablation
 //	—   BenchmarkSimBackends         dsim vs live goroutine network
+//	E18 BenchmarkShardSnapshot       sharded checkpoint encode by dirty share
+//	E18 BenchmarkWALCheckpointCycle  64 journal appends + one checkpoint
 package msgorder
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"msgorder/internal/catalog"
 	"msgorder/internal/check"
 	"msgorder/internal/classify"
 	"msgorder/internal/conformance"
+	"msgorder/internal/crash"
 	"msgorder/internal/dsim"
+	"msgorder/internal/event"
 	"msgorder/internal/inhib"
 	"msgorder/internal/pgraph"
 	"msgorder/internal/predicate"
@@ -29,6 +34,7 @@ import (
 	"msgorder/internal/protocols/fifo"
 	syncproto "msgorder/internal/protocols/sync"
 	"msgorder/internal/protocols/tagless"
+	"msgorder/internal/shard"
 	"msgorder/internal/sim"
 	"msgorder/internal/synth"
 	"msgorder/internal/universe"
@@ -407,4 +413,84 @@ func benchExploreTraced(b *testing.B, cfg dsim.ExploreConfig) {
 		records = col.Len()
 	}
 	b.ReportMetric(float64(records), "records/op")
+}
+
+// --- E18: the checkpoint path, layer by layer ---
+
+// discardEnv is a protocol environment that drops every output.
+type discardEnv struct{}
+
+func (discardEnv) Self() event.ProcID  { return 0 }
+func (discardEnv) NumProcs() int       { return 2 }
+func (discardEnv) Deliver(event.MsgID) {}
+func (discardEnv) Send(protocol.Wire)  {}
+
+// BenchmarkShardSnapshot times one Snapshot of a sharded fifo process
+// holding 1k or 100k ordering domains, of which none, 32 or all were
+// touched by a handler since the previous Snapshot (the touching itself
+// is untimed). dirty=32 is the checkpoint a node takes every 64 journal
+// entries; dirty=all is the pre-cache cost at every checkpoint.
+func BenchmarkShardSnapshot(b *testing.B) {
+	for _, keys := range []int{1000, 100000} {
+		p := shard.New(fifo.Maker)()
+		p.Init(discardEnv{})
+		touch := func(n int) {
+			for k := 0; k < n; k++ {
+				p.OnInvoke(event.Message{From: 0, To: 1, Key: event.Key(k)})
+			}
+		}
+		touch(keys)
+		snap := p.(protocol.Snapshotter)
+		snap.Snapshot()
+		for _, dirty := range []int{0, 32, keys} {
+			name := fmt.Sprintf("keys=%dk/dirty=%d", keys/1000, dirty)
+			if dirty == keys {
+				name = fmt.Sprintf("keys=%dk/dirty=all", keys/1000)
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					touch(dirty)
+					b.StartTimer()
+					if len(snap.Snapshot()) == 0 {
+						b.Fatal("empty snapshot")
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkWALCheckpointCycle times what a node's journal does between
+// two checkpoints at SnapshotEvery = 64: 64 appends and one checkpoint
+// of a 22 KB blob (keyed-1k's size), on the in-memory journal and on
+// the file journal with group commit.
+func BenchmarkWALCheckpointCycle(b *testing.B) {
+	blob := make([]byte, 22<<10)
+	e := crash.Entry{Kind: crash.EntryReceive, Seq: 9,
+		Wire: protocol.Wire{From: 1, To: 0, Kind: protocol.UserWire, Msg: 7, Key: 1 << 40, Tag: []byte{3}}}
+	run := func(b *testing.B, w *crash.WAL) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < 64; j++ {
+				if err := w.Append(e); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := w.Checkpoint(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("memory", func(b *testing.B) { run(b, crash.NewWAL()) })
+	b.Run("file", func(b *testing.B) {
+		w, err := crash.OpenFileWAL(filepath.Join(b.TempDir(), "bench.wal"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer w.Close()
+		w.EnableGroupCommit(crash.GroupCommit{})
+		run(b, w)
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"msgorder/internal/event"
+	"msgorder/internal/obs"
 	"msgorder/internal/protocol"
 )
 
@@ -283,12 +284,16 @@ func (w *WAL) Stats() WALStats {
 
 // Checkpoint replaces everything journaled so far with a snapshot:
 // recovery will restore snap and replay only entries appended after
-// this call.
+// this call. The WAL takes ownership of snap — the caller must not
+// modify it afterwards (Replay hands out copies).
 func (w *WAL) Checkpoint(snap []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.snap = append([]byte(nil), snap...)
-	w.entries = nil
+	w.snap = snap
+	// Keep the journal's backing array for the next cycle; Replay copies
+	// entries out, so nothing else holds it.
+	clear(w.entries)
+	w.entries = w.entries[:0]
 	// Pending batched entries are superseded by the snapshot: discard
 	// them rather than write bytes the truncate would erase anyway.
 	if w.timer != nil {
@@ -300,18 +305,36 @@ func (w *WAL) Checkpoint(snap []byte) error {
 	if w.f == nil {
 		return nil
 	}
-	buf := append([]byte{snapshotRecord}, binary.AppendUvarint(nil, uint64(len(w.snap)))...)
-	buf = append(buf, w.snap...)
+	var hdr [1 + binary.MaxVarintLen64]byte
+	hdr[0] = snapshotRecord
+	head := binary.AppendUvarint(hdr[:1], uint64(len(snap)))
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("crash: WAL checkpoint: %w", err)
 	}
-	if _, err := w.f.WriteAt(buf, 0); err != nil {
+	if _, err := w.f.WriteAt(head, 0); err != nil {
 		return fmt.Errorf("crash: WAL checkpoint: %w", err)
 	}
-	if _, err := w.f.Seek(int64(len(buf)), 0); err != nil {
+	if _, err := w.f.WriteAt(snap, int64(len(head))); err != nil {
+		return fmt.Errorf("crash: WAL checkpoint: %w", err)
+	}
+	if _, err := w.f.Seek(int64(len(head)+len(snap)), 0); err != nil {
 		return fmt.Errorf("crash: WAL checkpoint: %w", err)
 	}
 	return nil
+}
+
+// ObserveCheckpoint records one size-byte checkpoint of inst on s: the
+// checkpoint counter, the blob-size histogram and, when inst counts its
+// ordering domains (a sharded process), the live-domain gauge.
+func ObserveCheckpoint(s *obs.Sink, inst protocol.Process, size int) {
+	if !s.Enabled() {
+		return
+	}
+	s.Count("crash.wal.checkpoints", 1)
+	s.Observe("crash.checkpoint.bytes", int64(size))
+	if k, ok := inst.(interface{ Keys() int }); ok {
+		s.Metrics.Gauge("shard.domains.live", int64(k.Keys()))
+	}
 }
 
 // Replay returns the latest snapshot (nil if none) and a copy of the
@@ -449,7 +472,7 @@ func appendMessage(buf []byte, m event.Message) []byte {
 
 func readMessage(b []byte) ([]byte, event.Message, error) {
 	var m event.Message
-	vals := make([]uint64, 5)
+	var vals [5]uint64
 	var err error
 	for i := range vals {
 		if b, vals[i], err = readUvarint(b); err != nil {

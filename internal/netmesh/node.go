@@ -785,17 +785,18 @@ func (n *Node) maybeCheckpoint() {
 	if !ok {
 		return
 	}
-	if err := n.wal.Checkpoint(encodeCheckpoint(s.Snapshot(), n.tr.SnapshotState())); err != nil {
+	blob := encodeCheckpoint(s.Snapshot(), n.tr.SnapshotState())
+	if err := n.wal.Checkpoint(blob); err != nil {
 		n.fail(err)
 		return
 	}
-	n.sink.Count("crash.wal.checkpoints", 1)
+	crash.ObserveCheckpoint(n.sink, n.inst, len(blob))
 }
 
 // encodeCheckpoint packs the protocol snapshot and the transport state
 // snapshot into one WAL checkpoint blob.
 func encodeCheckpoint(protoSnap, trSnap []byte) []byte {
-	var w snapio.Writer
+	w := snapio.NewWriter(snapio.BytesLen(len(protoSnap)) + snapio.BytesLen(len(trSnap)))
 	w.Bytes(protoSnap)
 	w.Bytes(trSnap)
 	return w.Out()

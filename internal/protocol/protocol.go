@@ -129,6 +129,13 @@ type Maker func() Process
 // Restore must rebuild that state onto a freshly Init'd instance.
 // Snapshots let the write-ahead log be truncated: a recovering process
 // restores the latest snapshot and replays only the journal suffix.
+//
+// Two further facts are contract, because callers cache on them
+// (shard's dirty-domain checkpoint cache): the buffer Snapshot returns
+// is owned by the caller — the instance neither keeps nor later writes
+// it — and an instance's ordering state changes only inside Init,
+// OnInvoke, OnReceive, OnBroadcast and Restore, so between two such
+// calls Snapshot keeps returning the same bytes.
 type Snapshotter interface {
 	Snapshot() []byte
 	Restore(b []byte) error

@@ -1,7 +1,7 @@
 package fifo
 
 import (
-	"sort"
+	"slices"
 
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
@@ -25,7 +25,7 @@ func (p *Process) Snapshot() []byte {
 		for seq := range hm {
 			seqs = append(seqs, seq)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
 		for _, seq := range seqs {
 			w.U64(seq)
 			w.Int(int(hm[seq]))
@@ -63,7 +63,7 @@ func writeSeqMap(w *snapio.Writer, m map[event.ProcID]uint64) {
 	for k := range m {
 		keys = append(keys, int(k))
 	}
-	sort.Ints(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		w.Int(k)
 		w.U64(m[event.ProcID(k)])
@@ -85,6 +85,6 @@ func sortedProcs[V any](m map[event.ProcID]V) []event.ProcID {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }

@@ -21,7 +21,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"msgorder/internal/event"
@@ -136,6 +138,15 @@ func (e *keyEnv) Send(w protocol.Wire) {
 	e.parent.Send(w)
 }
 
+// domain is one ordering key's inner instance with its checkpoint
+// cache: snap is the instance's last encoding, stale while dirty.
+type domain struct {
+	keyEnv
+	inst  protocol.Process
+	snap  []byte
+	dirty bool
+}
+
 // Process is one process's sharded protocol instance: a demultiplexer
 // over lazily created per-key instances of the inner protocol. The
 // instances share nothing, so the per-key cost is exactly one inner
@@ -145,7 +156,12 @@ type Process struct {
 	maker protocol.Maker
 	desc  protocol.Descriptor
 	env   protocol.Env
-	insts map[event.Key]protocol.Process
+	doms  map[event.Key]*domain
+	// order holds every domain, ascending by key once sorted; dirty
+	// holds those a handler may have changed since the last Snapshot.
+	order  []*domain
+	sorted bool
+	dirty  []*domain
 }
 
 var (
@@ -180,24 +196,52 @@ func New(maker protocol.Maker) protocol.Maker {
 func (p *Process) Describe() protocol.Descriptor { return p.desc }
 
 // Keys returns the number of ordering domains instantiated so far.
-func (p *Process) Keys() int { return len(p.insts) }
+func (p *Process) Keys() int { return len(p.doms) }
 
 // Init prepares the demultiplexer; inner instances are created on first
 // use of their key.
 func (p *Process) Init(env protocol.Env) {
 	p.env = env
-	p.insts = make(map[event.Key]protocol.Process)
+	p.adopt(make(map[event.Key]*domain), nil)
 }
 
-// instance returns the inner instance for key k, creating it lazily.
-func (p *Process) instance(k event.Key) protocol.Process {
-	in, ok := p.insts[k]
-	if !ok {
-		in = p.maker()
-		in.Init(&keyEnv{parent: p.env, key: k})
-		p.insts[k] = in
+// adopt replaces the domain table; every adopted domain starts dirty.
+func (p *Process) adopt(doms map[event.Key]*domain, order []*domain) {
+	p.doms, p.order, p.sorted, p.dirty = doms, order, false, nil
+	for _, d := range order {
+		p.touch(d)
 	}
-	return in
+}
+
+// newDomain builds key k's inner instance.
+func (p *Process) newDomain(k event.Key) *domain {
+	d := &domain{keyEnv: keyEnv{parent: p.env, key: k}, inst: p.maker()}
+	d.inst.Init(&d.keyEnv)
+	return d
+}
+
+// touch marks d as possibly changed since the last Snapshot.
+func (p *Process) touch(d *domain) {
+	if !d.dirty {
+		d.dirty = true
+		p.dirty = append(p.dirty, d)
+	}
+}
+
+// instance returns the inner instance for key k, creating it lazily,
+// and marks the domain dirty: every handler reaches its instance
+// through here, and an instance changes state only inside a handler
+// (protocol.Snapshotter), so a domain not in dirty encodes as cached.
+func (p *Process) instance(k event.Key) protocol.Process {
+	d, ok := p.doms[k]
+	if !ok {
+		d = p.newDomain(k)
+		p.doms[k] = d
+		p.order = append(p.order, d)
+		p.sorted = false
+	}
+	p.touch(d)
+	return d.inst
 }
 
 // OnInvoke routes the invoke to its key's domain.
@@ -253,25 +297,35 @@ var _ protocol.Snapshotter = (*snapProcess)(nil)
 
 // Snapshot encodes every instantiated domain, sorted by key so the
 // encoding is deterministic (the crash harness verifies recovery by
-// byte comparison).
+// byte comparison). Only dirty domains are re-encoded; the rest are
+// copied from their cached encoding into one exactly-sized buffer, so
+// a checkpoint costs O(domains touched) plus one copy of the blob.
 func (p *snapProcess) Snapshot() []byte {
-	keys := make([]event.Key, 0, len(p.insts))
-	for k := range p.insts {
-		keys = append(keys, k)
+	for _, d := range p.dirty {
+		d.snap, d.dirty = d.inst.(protocol.Snapshotter).Snapshot(), false
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var w snapio.Writer
+	p.dirty = p.dirty[:0]
+	if !p.sorted {
+		slices.SortFunc(p.order, func(a, b *domain) int { return cmp.Compare(a.key, b.key) })
+		p.sorted = true
+	}
+	size := 1 + snapio.UvarintLen(uint64(len(p.order)))
+	for _, d := range p.order {
+		size += snapio.UvarintLen(uint64(d.key)) + snapio.BytesLen(len(d.snap))
+	}
+	w := snapio.NewWriter(size)
 	w.Byte(snapVersion)
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.U64(uint64(k))
-		w.Bytes(p.insts[k].(protocol.Snapshotter).Snapshot())
+	w.Int(len(p.order))
+	for _, d := range p.order {
+		w.U64(uint64(d.key))
+		w.Bytes(d.snap)
 	}
 	return w.Out()
 }
 
 // Restore rebuilds every domain from a Snapshot onto a freshly Init'd
-// sharded process.
+// sharded process. Restored domains start dirty: their next encoding
+// comes from the instance, not from the bytes it was restored from.
 func (p *snapProcess) Restore(b []byte) error {
 	r := snapio.NewReader(b)
 	if v := r.Byte(); v != snapVersion {
@@ -281,23 +335,30 @@ func (p *snapProcess) Restore(b []byte) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	insts := make(map[event.Key]protocol.Process, n)
+	if n > len(b) { // a domain takes at least two bytes
+		return snapio.ErrCorrupt
+	}
+	doms := make(map[event.Key]*domain, n)
+	order := make([]*domain, 0, n)
 	for i := 0; i < n; i++ {
 		k := event.Key(r.U64())
 		snap := r.Bytes()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		in := p.maker()
-		in.Init(&keyEnv{parent: p.env, key: k})
-		if err := in.(protocol.Snapshotter).Restore(snap); err != nil {
+		if _, dup := doms[k]; dup {
+			return fmt.Errorf("shard: key %#x twice: %w", uint64(k), snapio.ErrCorrupt)
+		}
+		d := p.newDomain(k)
+		if err := d.inst.(protocol.Snapshotter).Restore(snap); err != nil {
 			return fmt.Errorf("shard: key %#x: %w", uint64(k), err)
 		}
-		insts[k] = in
+		doms[k] = d
+		order = append(order, d)
 	}
 	if err := r.Close(); err != nil {
 		return err
 	}
-	p.insts = insts
+	p.adopt(doms, order)
 	return nil
 }

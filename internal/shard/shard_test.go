@@ -2,12 +2,15 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
 	"msgorder/internal/protocols/fifo"
+	"msgorder/internal/snapio"
 )
 
 // stubEnv is a harness-free protocol environment: sends are captured,
@@ -201,6 +204,19 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	snap := p.(protocol.Snapshotter).Snapshot()
 	if err := p.(protocol.Snapshotter).Restore(append(snap, 0)); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+	// One valid domain record listed twice: the second would shadow the
+	// first in the key order.
+	p.OnInvoke(event.Message{ID: 0, From: 0, To: 1, Key: 5})
+	one := p.(protocol.Snapshotter).Snapshot()
+	dup := append([]byte{snapVersion, 2}, one[2:]...)
+	dup = append(dup, one[2:]...)
+	if err := p.(protocol.Snapshotter).Restore(dup); !errors.Is(err, snapio.ErrCorrupt) || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("duplicate key: %v", err)
+	}
+	// A count the blob cannot hold must fail before anything is sized by it.
+	if err := p.(protocol.Snapshotter).Restore([]byte{snapVersion, 0xFF, 0xFF, 0xFF, 0x07}); !errors.Is(err, snapio.ErrCorrupt) {
+		t.Fatalf("oversized count: %v", err)
 	}
 }
 

@@ -229,13 +229,12 @@ func (nw *Network) maybeCheckpoint(inc *incarnation) {
 	if !ok {
 		return
 	}
-	if err := w.Checkpoint(s.Snapshot()); err != nil {
+	snap := s.Snapshot()
+	if err := w.Checkpoint(snap); err != nil {
 		nw.fail(err)
 		return
 	}
-	if sk := nw.sink; sk.Enabled() {
-		sk.Count("crash.wal.checkpoints", 1)
-	}
+	crash.ObserveCheckpoint(nw.sink, inc.inst, len(snap))
 }
 
 // heartbeat feeds the failure detector for one incarnation.

@@ -204,7 +204,12 @@ type Network struct {
 	work     *workGate
 	stopOnce sync.Once
 	statOnce sync.Once
-	done     chan struct{}
+	// finalTr / finalFaults are the counters as first read at Stop; the
+	// recorded Stats and the Result both report this one reading, so a
+	// straggling duplicate landing after shutdown cannot split them.
+	finalTr     transport.Counters
+	finalFaults transport.FaultCounters
+	done        chan struct{}
 
 	faults *transport.FaultPlan
 	trCfg  transport.Config
@@ -660,12 +665,11 @@ func (nw *Network) Stop() (*Result, error) {
 	}
 	if nw.tr != nil {
 		nw.statOnce.Do(func() {
-			tc := nw.tr.Counters()
-			faults := 0
+			nw.finalTr = nw.tr.Counters()
 			if nw.inj != nil {
-				faults = nw.inj.Counters().Total()
+				nw.finalFaults = nw.inj.Counters()
 			}
-			nw.rec.RecordTransport(tc.Retransmits, tc.DupsDropped, faults)
+			nw.rec.RecordTransport(nw.finalTr.Retransmits, nw.finalTr.DupsDropped, nw.finalFaults.Total())
 			if nw.crashInj != nil {
 				nw.crashMu.RLock()
 				t := nw.tallyCrash
@@ -688,12 +692,7 @@ func (nw *Network) Stop() (*Result, error) {
 		Stats:       nw.rec.Stats(),
 		Undelivered: nw.rec.Undelivered(),
 	}
-	if nw.tr != nil {
-		res.Transport = nw.tr.Counters()
-		if nw.inj != nil {
-			res.Faults = nw.inj.Counters()
-		}
-	}
+	res.Transport, res.Faults = nw.finalTr, nw.finalFaults
 	if nw.crashInj != nil {
 		res.Crashes = nw.crashInj.Counters()
 	}

@@ -10,6 +10,7 @@ package snapio
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrCorrupt reports a malformed snapshot encoding.
@@ -19,6 +20,17 @@ var ErrCorrupt = errors.New("snapio: corrupt snapshot encoding")
 type Writer struct {
 	buf []byte
 }
+
+// NewWriter returns a writer whose buffer holds n bytes before it
+// grows, for encodings whose size is known up front (UvarintLen,
+// BytesLen).
+func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
+
+// UvarintLen returns the number of bytes U64 appends for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// BytesLen returns the number of bytes Bytes appends for an n-byte string.
+func BytesLen(n int) int { return UvarintLen(uint64(n)) + n }
 
 // U64 appends an unsigned varint.
 func (w *Writer) U64(v uint64) {

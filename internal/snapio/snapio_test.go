@@ -79,3 +79,25 @@ func TestWriterPanicsOnNegativeInt(t *testing.T) {
 	var w Writer
 	w.Int(-1)
 }
+
+// TestSizeHelpersMatchWriter holds UvarintLen and BytesLen to what the
+// Writer appends, across every varint length boundary, so a NewWriter
+// sized by them never regrows.
+func TestSizeHelpersMatchWriter(t *testing.T) {
+	for shift := 0; shift < 64; shift++ {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			var w Writer
+			w.U64(v)
+			if got := UvarintLen(v); got != len(w.Out()) {
+				t.Fatalf("UvarintLen(%d) = %d, U64 appends %d", v, got, len(w.Out()))
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384} {
+		w := NewWriter(BytesLen(n))
+		w.Bytes(make([]byte, n))
+		if len(w.Out()) != BytesLen(n) || cap(w.Out()) != BytesLen(n) {
+			t.Fatalf("BytesLen(%d) = %d, Bytes appends %d into cap %d", n, BytesLen(n), len(w.Out()), cap(w.Out()))
+		}
+	}
+}

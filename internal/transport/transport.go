@@ -20,9 +20,10 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -829,7 +830,7 @@ func (r *Reliable) SnapshotState() []byte {
 		for seq := range r.seen[ch] {
 			seqs = append(seqs, seq)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
 		w.Int(int(ch[0]))
 		w.Int(int(ch[1]))
 		w.Int(len(seqs))
@@ -841,12 +842,8 @@ func (r *Reliable) SnapshotState() []byte {
 	for k := range r.pending {
 		pks = append(pks, k)
 	}
-	sort.Slice(pks, func(i, j int) bool {
-		a, b := pks[i], pks[j]
-		if a.ch != b.ch {
-			return lessChan(a.ch, b.ch)
-		}
-		return a.seq < b.seq
+	slices.SortFunc(pks, func(a, b pendKey) int {
+		return cmp.Or(slices.Compare(a.ch[:], b.ch[:]), cmp.Compare(a.seq, b.seq))
 	})
 	w.Int(len(pks))
 	for _, k := range pks {
@@ -930,15 +927,7 @@ const stateVersion = 1
 
 // sortChans orders channel keys lexicographically by (src, dst).
 func sortChans(ks []chanKey) {
-	sort.Slice(ks, func(i, j int) bool { return lessChan(ks[i], ks[j]) })
-}
-
-// lessChan is the (src, dst) order on channel keys.
-func lessChan(a, b chanKey) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
+	slices.SortFunc(ks, func(a, b chanKey) int { return slices.Compare(a[:], b[:]) })
 }
 
 // appendWireState encodes a protocol wire for the state snapshot.

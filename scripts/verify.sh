@@ -159,6 +159,13 @@ echo "== allocation budget (steady-path gate) =="
 # instrumentation allocates; the tests are build-tagged !race).
 go test -run 'AllocationBudget|AvoidsWindowTimer' ./internal/netmesh/
 
+echo "== benchmark module (stack signature gate) =="
+# benchmark/ is its own module compiled against this one (replace
+# msgorder => ../): a signature change under its stack.go must fail
+# here, not when the driver builds the benchmark.
+go vet -C benchmark ./...
+go test -C benchmark ./...
+
 echo "== nil-tracer overhead smoke =="
 # One pass over the explorer benchmarks, uninstrumented and traced: the
 # nil-tracer fast path must not break the hot loop (the /traced variant
