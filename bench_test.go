@@ -12,12 +12,14 @@
 //	—   BenchmarkSimBackends         dsim vs live goroutine network
 //	E18 BenchmarkShardSnapshot       sharded checkpoint encode by dirty share
 //	E18 BenchmarkWALCheckpointCycle  64 journal appends + one checkpoint
+//	E19 BenchmarkReliableAck         one Wrap + one cumulative ack by table depth
 package msgorder
 
 import (
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"msgorder/internal/catalog"
 	"msgorder/internal/check"
@@ -37,6 +39,7 @@ import (
 	"msgorder/internal/shard"
 	"msgorder/internal/sim"
 	"msgorder/internal/synth"
+	"msgorder/internal/transport"
 	"msgorder/internal/universe"
 	"msgorder/internal/userview"
 )
@@ -493,4 +496,34 @@ func BenchmarkWALCheckpointCycle(b *testing.B) {
 		w.EnableGroupCommit(crash.GroupCommit{})
 		run(b, w)
 	})
+}
+
+// BenchmarkReliableAck times a sender's steady state with a standing
+// window of unacknowledged envelopes: each iteration wraps one wire and
+// processes the cumulative ack that retires the oldest one, so the
+// table holds `pending` entries throughout. An ack that costs what it
+// retires reads the same at both depths.
+func BenchmarkReliableAck(b *testing.B) {
+	for _, pending := range []int{128, 4096} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			r := transport.NewReliable(transport.Config{RTO: time.Hour, MaxRTO: time.Hour, Tick: time.Hour},
+				func(transport.Envelope) {})
+			defer r.Close()
+			w := protocol.Wire{From: 0, To: 1, Kind: protocol.UserWire}
+			for i := 0; i < pending; i++ {
+				r.Wrap(0, 1, w)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Wrap(0, 1, w)
+				cum := uint64(i + 1)
+				r.Ack(transport.Envelope{Src: 1, Dst: 0, Kind: transport.Ack, Seq: cum, Cum: cum})
+			}
+			b.StopTimer()
+			if got := r.Pending(); got != pending {
+				b.Fatalf("pending = %d, want the standing %d", got, pending)
+			}
+		})
+	}
 }

@@ -314,6 +314,21 @@ func TestHTTPObservability(t *testing.T) {
 	if err := ds[1].client.Wait(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// P1 has delivered, but P0 is quiet only once the ack is back: until
+	// then its transport may still trace a retransmission, and the
+	// caught-up scrape below would not be empty.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := ds[0].client.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Transport.AcksReceived > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("P0 never saw its send acknowledged")
+		}
+	}
 	base := "http://" + ds[0].ready["http"]
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {

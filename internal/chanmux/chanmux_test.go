@@ -23,7 +23,9 @@ func freePorts(t *testing.T, n int) []string {
 			t.Fatal(err)
 		}
 		addrs[i] = ln.Addr().String()
-		ln.Close()
+		// Held until the whole set is picked, or the kernel may hand the
+		// same port out twice.
+		defer ln.Close()
 	}
 	return addrs
 }

@@ -139,16 +139,26 @@ func runSimLockstep(maker protocol.Maker, procs int, seed int64, msgs []event.Me
 	return res.View, elapsed, nil
 }
 
-// meshPorts reserves n loopback addresses.
+// meshPorts reserves n distinct loopback addresses. Every listener
+// stays open until the whole set is picked: released one at a time, the
+// kernel hands the same port out twice about once in 4 000 three-port
+// sets, and the second node to bind it fails with "address already in
+// use".
 func meshPorts(n int) ([]string, error) {
 	addrs := make([]string, n)
+	lns := make([]net.Listener, 0, n)
+	defer func() {
+		for _, ln := range lns {
+			ln.Close()
+		}
+	}()
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
+		lns = append(lns, ln)
 		addrs[i] = ln.Addr().String()
-		ln.Close()
 	}
 	return addrs, nil
 }

@@ -6,7 +6,6 @@ import (
 	"bufio"
 	"bytes"
 	"testing"
-	"time"
 
 	"msgorder/internal/transport"
 )
@@ -34,7 +33,7 @@ func TestSteadySendPathAllocationBudget(t *testing.T) {
 		for _, e := range envs {
 			box.push(e)
 		}
-		buf, _ = box.popBatch(buf, len(envs), -1)
+		buf, _ = box.popBatch(buf, len(envs))
 	}); avg != 0 {
 		t.Errorf("outbox push/popBatch allocates %.1f per batch on the steady path, want 0", avg)
 	}
@@ -60,21 +59,36 @@ func TestSteadySendPathAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestWALGroupCommitAmortizesWrites is exercised in internal/crash; the
-// netmesh-side budget here is the timer path of popBatch: arming and
-// stopping the flush-window timer every batch costs a couple of
-// allocations, so the window is only armed when a batch is actually
-// short. A full batch must stay on the zero-alloc fast path.
-func TestFullBatchAvoidsWindowTimer(t *testing.T) {
-	box := newOutbox()
-	envs := batchEnvs(0, 16)
-	buf := make([]transport.Envelope, 0, len(envs))
-	if avg := testing.AllocsPerRun(200, func() {
-		for _, e := range envs {
-			box.push(e)
+// TestArenaSpansFramesOfOneConnection pins the VC arena's lifetime: a
+// connection that carries one stamped envelope per frame must carve
+// every stamp from a chunk it keeps across frames, not buy a fresh
+// chunk for each frame. 256 such frames cost at most two chunks, and
+// each decode allocates only what the envelope itself needs (the
+// result slice and the tag copy).
+func TestArenaSpansFramesOfOneConnection(t *testing.T) {
+	enc := getEncoder()
+	defer putEncoder(enc)
+	payload := append([]byte(nil), encodeBatch(enc, batchEnvs(0, 1))...)
+
+	var arena []uint64 // serveConn's, for the life of the connection
+	chunks := 0
+	for i := 0; i < 256; i++ {
+		before := cap(arena)
+		if _, err := decodeBatch(payload, &arena); err != nil {
+			t.Fatal(err)
 		}
-		buf, _ = box.popBatch(buf, len(envs), time.Hour)
-	}); avg != 0 {
-		t.Errorf("full-batch popBatch with a window armed allocates %.1f, want 0", avg)
+		if cap(arena) > before {
+			chunks++
+		}
+	}
+	if chunks > 2 {
+		t.Errorf("256 single-envelope stamped frames took %d arena chunks, want ≤ 2", chunks)
+	}
+	if avg := testing.AllocsPerRun(256, func() {
+		if _, err := decodeBatch(payload, &arena); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 2 {
+		t.Errorf("decoding a single-envelope stamped frame allocates %.0f, want ≤ 2 (arena amortized)", avg)
 	}
 }

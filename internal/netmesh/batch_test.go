@@ -31,32 +31,67 @@ func batchEnvs(src, n int) []transport.Envelope {
 }
 
 func TestBatchCodecRoundTrip(t *testing.T) {
+	runs := map[string][]transport.Envelope{}
 	for _, n := range []int{1, 2, 7, 64} {
 		envs := batchEnvs(3, n)
 		envs[0].Cum = 41 // exercise the pipelined-ack field through the batch path
+		runs[fmt.Sprintf("data n=%d", n)] = envs
+	}
+	// Control envelopes — acks (exact; cumulative on a multiplexed
+	// channel) and a beat — are encoded as their header alone.
+	ctrl := []transport.Envelope{
+		{Src: 1, Dst: 3, Kind: transport.Ack, Seq: 5},
+		{Src: 1, Dst: 3, Kind: transport.Ack, Seq: 300, Cum: 299, Chan: 77},
+		{Src: 1, Dst: 3, Kind: transport.Beat},
+	}
+	runs["ack alone"] = ctrl[:1]
+	runs["beat alone"] = ctrl[2:]
+	runs["control only"] = ctrl
+	// Header-only envelopes between, before and after full ones: a
+	// decoder that reads one field too many or too few mis-frames the rest.
+	data := batchEnvs(3, 3)
+	runs["interleaved"] = []transport.Envelope{ctrl[0], data[0], ctrl[1], ctrl[2], data[1], data[2], ctrl[0]}
+	var arena []uint64
+	for name, envs := range runs {
 		enc := getEncoder()
 		payload := encodeBatch(enc, envs)
-		got, err := decodeBatch(payload)
+		got, err := decodeBatch(payload, &arena)
 		putEncoder(enc)
 		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, envs) {
-			t.Fatalf("n=%d: round trip = %+v, want %+v", n, got, envs)
+			t.Fatalf("%s: round trip = %+v, want %+v", name, got, envs)
 		}
 	}
 }
 
 func TestDecodeBatchRejectsCorrupt(t *testing.T) {
-	enc := getEncoder()
-	defer putEncoder(enc)
-	good := append([]byte(nil), encodeBatch(enc, batchEnvs(0, 3))...)
+	// batchOf returns a private copy of the batch payload for envs.
+	batchOf := func(envs ...transport.Envelope) []byte {
+		enc := getEncoder()
+		defer putEncoder(enc)
+		return append([]byte(nil), encodeBatch(enc, envs)...)
+	}
+	good := batchOf(batchEnvs(0, 3)...)
+	ack := transport.Envelope{Src: 1, Dst: 0, Kind: transport.Ack, Seq: 300, Cum: 299}
+	oneAck := batchOf(ack)
+	// The same header with Kind Data: the decoder must go on to demand a
+	// Wire where an ack would have ended.
+	asData := ack
+	asData.Kind = transport.Data
+	oneData := batchOf(asData)
 	cases := [][]byte{
 		nil,
 		{frameBatch},                         // no count
 		{frameEnvelope, 1},                   // wrong kind
 		good[:len(good)-1],                   // truncated body
 		append(append([]byte{}, good...), 9), // trailing junk
+		oneAck[:len(oneAck)-2],               // ack truncated inside its header
+		oneData[:len(oneAck)],                // data truncated exactly where an ack would end
+	}
+	if len(oneData) <= len(oneAck) {
+		t.Fatalf("a data envelope (%d bytes) should outweigh its ack twin (%d bytes)", len(oneData), len(oneAck))
 	}
 	// A batch whose count exceeds maxBatch must be refused before any
 	// allocation is attempted.
@@ -74,67 +109,9 @@ func TestDecodeBatchRejectsCorrupt(t *testing.T) {
 	cases = append(cases, append([]byte(nil), enc3.Out()...))
 	putEncoder(enc3)
 	for i, b := range cases {
-		if _, err := decodeBatch(b); err == nil {
+		if _, err := decodeBatch(b, new([]uint64)); err == nil {
 			t.Fatalf("case %d: decodeBatch accepted corrupt input %v", i, b)
 		}
-	}
-}
-
-// TestFlushWindowExpiryFlushesSingleEnvelope pins the flush-window
-// liveness property: a lone queued envelope must not wait for MaxBatch
-// company — the window timer expires and the batch of one goes out.
-func TestFlushWindowExpiryFlushesSingleEnvelope(t *testing.T) {
-	box := newOutbox()
-	box.push(transport.Envelope{Seq: 7})
-	const window = 10 * time.Millisecond
-	start := time.Now()
-	got, ok := box.popBatch(nil, 64, window)
-	elapsed := time.Since(start)
-	if !ok || len(got) != 1 || got[0].Seq != 7 {
-		t.Fatalf("popBatch = %v, %v", got, ok)
-	}
-	if elapsed < window {
-		t.Fatalf("popBatch returned after %v, before the %v window expired", elapsed, window)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("popBatch blocked %v: window expiry did not fire", elapsed)
-	}
-	if !box.empty() {
-		t.Fatal("outbox not drained")
-	}
-}
-
-// TestPopBatchFullBatchSkipsWindow checks the early exit: once MaxBatch
-// envelopes are queued, popBatch must not linger for the window.
-func TestPopBatchFullBatchSkipsWindow(t *testing.T) {
-	box := newOutbox()
-	for i := 0; i < 4; i++ {
-		box.push(transport.Envelope{Seq: uint64(i + 1)})
-	}
-	start := time.Now()
-	got, ok := box.popBatch(nil, 4, time.Hour)
-	if !ok || len(got) != 4 {
-		t.Fatalf("popBatch = %v, %v", got, ok)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("full batch still waited %v", elapsed)
-	}
-	for i, e := range got {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("batch out of order: %v", got)
-		}
-	}
-}
-
-// TestPopBatchNegativeWindowNoWait: FlushWindow < 0 disables the linger
-// entirely — the batch is whatever is already queued.
-func TestPopBatchNegativeWindowNoWait(t *testing.T) {
-	box := newOutbox()
-	box.push(transport.Envelope{Seq: 1})
-	box.push(transport.Envelope{Seq: 2})
-	got, ok := box.popBatch(nil, 64, -1)
-	if !ok || len(got) != 2 {
-		t.Fatalf("popBatch = %v, %v", got, ok)
 	}
 }
 
@@ -144,10 +121,10 @@ func TestPopBatchClosedDrains(t *testing.T) {
 	box := newOutbox()
 	box.push(transport.Envelope{Seq: 1})
 	box.close()
-	if got, ok := box.popBatch(nil, 64, time.Hour); !ok || len(got) != 1 {
+	if got, ok := box.popBatch(nil, 64); !ok || len(got) != 1 {
 		t.Fatalf("popBatch after close = %v, %v", got, ok)
 	}
-	if _, ok := box.popBatch(nil, 64, time.Hour); ok {
+	if _, ok := box.popBatch(nil, 64); ok {
 		t.Fatal("drained closed outbox still reported live")
 	}
 }
@@ -304,11 +281,12 @@ func TestCodecPoolNeverAliasesDecodedEnvelopes(t *testing.T) {
 			defer wg.Done()
 			var prev []transport.Envelope
 			var prevWant []transport.Envelope
+			var arena []uint64 // one per goroutine, as one per connection
 			for i := 0; i < rounds; i++ {
 				want := batchEnvs(g, 1+i%9)
 				enc := getEncoder()
 				payload := encodeBatch(enc, want)
-				got, err := decodeBatch(payload)
+				got, err := decodeBatch(payload, &arena)
 				putEncoder(enc) // encoder back in the pool before we look at got
 				if err != nil {
 					errs <- err
@@ -358,7 +336,8 @@ func TestReadFrameIntoReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got1, err := decodeBatch(buf)
+	var arena []uint64
+	got1, err := decodeBatch(buf, &arena)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +348,7 @@ func TestReadFrameIntoReusesBuffer(t *testing.T) {
 	if &buf[0] != &buf2[0] {
 		t.Error("second frame did not reuse the read buffer")
 	}
-	got2, err := decodeBatch(buf2)
+	got2, err := decodeBatch(buf2, &arena)
 	if err != nil {
 		t.Fatal(err)
 	}

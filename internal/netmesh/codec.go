@@ -37,11 +37,11 @@ const (
 const maxFrame = 1 << 20
 
 // helloMagic opens every handshake payload so a stray client speaking
-// the wrong protocol is refused immediately. Bumped to momesh3 when the
-// envelope encoding grew the multiplexed-channel ID field (momesh2 had
-// added the ordering-key field), so an old peer is refused at the
-// handshake instead of misparsing frames.
-const helloMagic = "momesh3"
+// the wrong protocol is refused immediately. Bumped whenever the
+// envelope encoding changes (momesh2: ordering-key field, momesh3:
+// multiplexed-channel ID, momesh4: header-only control envelopes), so an
+// old peer is refused at the handshake instead of misparsing frames.
+const helloMagic = "momesh4"
 
 // errCorruptFrame reports a malformed frame payload.
 var errCorruptFrame = errors.New("netmesh: corrupt frame")
@@ -193,7 +193,8 @@ func decodeReject(b []byte) string {
 }
 
 // encodeEnvelopeBody appends one envelope's field encoding (no frame
-// kind byte) to w.
+// kind byte) to w. Only a Data envelope has a Wire; an Ack or Beat is
+// its header alone, and ends after Attempt.
 func encodeEnvelopeBody(w *snapio.Writer, e transport.Envelope) {
 	w.Int(int(e.Src))
 	w.Int(int(e.Dst))
@@ -202,6 +203,9 @@ func encodeEnvelopeBody(w *snapio.Writer, e transport.Envelope) {
 	w.U64(e.Seq)
 	w.U64(e.Cum)
 	w.Int(e.Attempt)
+	if e.Kind != transport.Data {
+		return
+	}
 	w.Int(int(e.Wire.From))
 	w.Int(int(e.Wire.To))
 	w.Byte(byte(e.Wire.Kind))
@@ -218,10 +222,11 @@ func encodeEnvelopeBody(w *snapio.Writer, e transport.Envelope) {
 
 // decodeEnvelopeBody parses one envelope's fields off r. The result
 // never aliases the input buffer (Tag and VC are copied), so frame
-// read buffers can be reused. VC stamps are carved from *arena — one
-// allocation amortized over many envelopes instead of one per stamped
-// envelope — and carved sub-slices are never recycled, so they stay
-// valid after the arena moves on.
+// read buffers can be reused. VC stamps are carved from *arena, which
+// the caller keeps for the life of its connection — one allocation
+// amortized over many envelopes, however few each frame carries — and
+// carved sub-slices are never recycled, so they stay valid after the
+// arena moves on.
 func decodeEnvelopeBody(r *snapio.Reader, arena *[]uint64) (transport.Envelope, error) {
 	var e transport.Envelope
 	e.Src = event.ProcID(r.Int())
@@ -231,6 +236,9 @@ func decodeEnvelopeBody(r *snapio.Reader, arena *[]uint64) (transport.Envelope, 
 	e.Seq = r.U64()
 	e.Cum = r.U64()
 	e.Attempt = r.Int()
+	if e.Kind != transport.Data {
+		return e, r.Err()
+	}
 	e.Wire.From = event.ProcID(r.Int())
 	e.Wire.To = event.ProcID(r.Int())
 	e.Wire.Kind = protocol.WireKind(r.Byte())
@@ -266,14 +274,14 @@ func encodeEnvelope(e transport.Envelope) []byte {
 	return w.Out()
 }
 
-// decodeEnvelope parses an envelope frame payload (kind byte included).
-func decodeEnvelope(b []byte) (transport.Envelope, error) {
+// decodeEnvelope parses an envelope frame payload (kind byte included),
+// carving any VC stamp from *arena.
+func decodeEnvelope(b []byte, arena *[]uint64) (transport.Envelope, error) {
 	r := snapio.NewReader(b)
 	if r.Byte() != frameEnvelope {
 		return transport.Envelope{}, errCorruptFrame
 	}
-	var arena []uint64
-	e, err := decodeEnvelopeBody(r, &arena)
+	e, err := decodeEnvelopeBody(r, arena)
 	if err != nil {
 		return transport.Envelope{}, err
 	}
@@ -299,8 +307,8 @@ func encodeBatch(w *snapio.Writer, envs []transport.Envelope) []byte {
 
 // decodeBatch parses a batch frame payload (kind byte included) into a
 // freshly allocated slice — the receiver's inbox retains it, so it must
-// not alias any reusable buffer.
-func decodeBatch(b []byte) ([]transport.Envelope, error) {
+// not alias any reusable buffer. VC stamps are carved from *arena.
+func decodeBatch(b []byte, arena *[]uint64) ([]transport.Envelope, error) {
 	r := snapio.NewReader(b)
 	if r.Byte() != frameBatch {
 		return nil, errCorruptFrame
@@ -313,9 +321,8 @@ func decodeBatch(b []byte) ([]transport.Envelope, error) {
 		return nil, fmt.Errorf("%w: %d-envelope batch", errCorruptFrame, n)
 	}
 	envs := make([]transport.Envelope, 0, n)
-	var arena []uint64
 	for i := 0; i < n; i++ {
-		e, err := decodeEnvelopeBody(r, &arena)
+		e, err := decodeEnvelopeBody(r, arena)
 		if err != nil {
 			return nil, err
 		}

@@ -63,11 +63,6 @@ type MeshConfig struct {
 	// MaxBatch bounds the envelopes coalesced into one batch frame
 	// (default 64, capped at the codec's frame limit).
 	MaxBatch int
-	// FlushWindow is how long a sender lingers after the first queued
-	// envelope to coalesce more into the same batch frame. Zero means
-	// the default 100µs; negative disables the wait entirely (every
-	// batch is whatever is already queued).
-	FlushWindow time.Duration
 	// Injector, when non-nil, applies seeded drop/duplicate/delay faults
 	// to outbound envelopes — the in-memory adversary's fault interface
 	// on a real socket. transport.Reliable above recovers.
@@ -95,9 +90,6 @@ func (c MeshConfig) withDefaults() MeshConfig {
 	if c.MaxBatch > maxBatch {
 		c.MaxBatch = maxBatch
 	}
-	if c.FlushWindow == 0 {
-		c.FlushWindow = 100 * time.Microsecond
-	}
 	return c
 }
 
@@ -111,8 +103,9 @@ type Counters struct {
 	Redials int
 	// Rejects counts handshakes refused, in either direction.
 	Rejects int
-	// FramesIn / FramesOut count decoded and written envelope frames
-	// (a batch frame counts once).
+	// FramesIn / FramesOut count decoded envelope frames and frames
+	// handed to a connection (a batch frame counts once; one lost with a
+	// connection that broke under it still counts as out).
 	FramesIn, FramesOut int
 	// EnvelopesIn / EnvelopesOut count envelopes carried by those
 	// frames; EnvelopesOut/FramesOut is the achieved batching factor.
@@ -161,15 +154,6 @@ type outbox struct {
 	rr     int
 	total  int
 	closed bool
-	// Flush-window timer lifecycle. timer is the currently armed window
-	// timer (nil when none); timerGen invalidates in-flight AfterFunc
-	// callbacks that lost the race with Stop — a stale callback from a
-	// previous window must not mark the next window expired, or that
-	// window would flush immediately instead of lingering. close() stops
-	// the armed timer so a closed outbox never keeps one scheduled.
-	timer    *time.Timer
-	timerGen uint64
-	expired  bool
 	// beats counts queued heartbeat envelopes. Beats coalesce: a beat
 	// pushed while one is already queued is dropped, so a partitioned
 	// peer's outbox holds at most one stale beat instead of growing
@@ -206,13 +190,16 @@ func (b *outbox) push(e transport.Envelope) {
 	b.cond.Signal()
 }
 
-// popBatch blocks until at least one envelope is queued (or the outbox
-// closes), then lingers up to window for more to coalesce, and moves up
-// to max envelopes into buf (reusing its capacity). Envelopes are taken
-// round-robin across the queued channels — per-channel FIFO order is
-// preserved, cross-channel order is fairness, not arrival. The second
-// result is false only when the outbox is closed and drained.
-func (b *outbox) popBatch(buf []transport.Envelope, max int, window time.Duration) ([]transport.Envelope, bool) {
+// popBatch blocks only while the outbox is empty (and open), then moves
+// whatever is queued, up to max envelopes, into buf (reusing its
+// capacity). It never waits for company: the sender's socket write is
+// the clock, and what is pushed while a write is in flight is the next
+// batch — an idle connection sends at once, a backlogged one fills
+// whole frames. Envelopes are taken round-robin across the queued
+// channels — per-channel FIFO order is preserved, cross-channel order
+// is fairness, not arrival. The second result is false only when the
+// outbox is closed and drained.
+func (b *outbox) popBatch(buf []transport.Envelope, max int) ([]transport.Envelope, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for b.total == 0 && !b.closed {
@@ -220,30 +207,6 @@ func (b *outbox) popBatch(buf []transport.Envelope, max int, window time.Duratio
 	}
 	if b.total == 0 {
 		return buf[:0], false
-	}
-	if window > 0 && b.total < max && !b.closed {
-		gen := b.timerGen
-		b.expired = false
-		b.timer = time.AfterFunc(window, func() {
-			b.mu.Lock()
-			if b.timerGen == gen {
-				b.expired = true
-			}
-			b.mu.Unlock()
-			b.cond.Broadcast()
-		})
-		for b.total < max && !b.closed && !b.expired {
-			b.cond.Wait()
-		}
-		// Retire this window: bump the generation so a callback that
-		// already fired but hasn't run can't expire a future window, and
-		// disarm the timer (close() may have done both already).
-		b.timerGen++
-		b.expired = false
-		if b.timer != nil {
-			b.timer.Stop()
-			b.timer = nil
-		}
 	}
 	n := b.total
 	if n > max {
@@ -281,13 +244,7 @@ func (b *outbox) popBatch(buf []transport.Envelope, max int, window time.Duratio
 func (b *outbox) close() {
 	b.mu.Lock()
 	b.closed = true
-	b.timerGen++
-	t := b.timer
-	b.timer = nil
 	b.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
 	b.cond.Broadcast()
 }
 
@@ -504,7 +461,8 @@ func (m *Mesh) serveConn(conn net.Conn) {
 	}
 	m.count(func(c *Counters) { c.Accepted++ })
 	m.cfg.Obs.Count("netmesh.accepted", 1)
-	var rbuf []byte // reused across frames; decoders copy out of it
+	var rbuf []byte    // reused across frames; decoders copy out of it
+	var arena []uint64 // VC stamps are carved from it; chunks outlive frames
 	for {
 		payload, err := readFrameInto(br, rbuf)
 		if err != nil {
@@ -514,10 +472,10 @@ func (m *Mesh) serveConn(conn net.Conn) {
 		var envs []transport.Envelope
 		switch {
 		case len(payload) > 0 && payload[0] == frameBatch:
-			envs, err = decodeBatch(payload)
+			envs, err = decodeBatch(payload, &arena)
 		default:
 			var e transport.Envelope
-			if e, err = decodeEnvelope(payload); err == nil {
+			if e, err = decodeEnvelope(payload, &arena); err == nil {
 				envs = []transport.Envelope{e}
 			}
 		}
@@ -578,7 +536,7 @@ func (m *Mesh) runSender(peer event.ProcID, box *outbox) {
 	defer putEncoder(enc)
 	for {
 		var ok bool
-		batch, ok = box.popBatch(batch, m.cfg.MaxBatch, m.cfg.FlushWindow)
+		batch, ok = box.popBatch(batch, m.cfg.MaxBatch)
 		if !ok {
 			return // mesh closing
 		}
@@ -618,6 +576,16 @@ func (m *Mesh) runSender(peer event.ProcID, box *outbox) {
 			rd.success()
 		}
 		payload := encodeBatch(enc, kept)
+		// Counted before the write, so whoever has seen a frame's effect
+		// at the peer also sees it counted here.
+		m.count(func(c *Counters) {
+			c.FramesOut++
+			c.EnvelopesOut += len(kept)
+			if len(kept) > 1 {
+				c.Batches++
+			}
+			c.BytesOut += len(payload)
+		})
 		err := writeFrame(bw, payload)
 		if err == nil {
 			err = bw.Flush()
@@ -627,14 +595,6 @@ func (m *Mesh) runSender(peer event.ProcID, box *outbox) {
 			conn, bw = nil, nil
 			continue // batch lost; Reliable retransmits
 		}
-		m.count(func(c *Counters) {
-			c.FramesOut++
-			c.EnvelopesOut += len(kept)
-			if len(kept) > 1 {
-				c.Batches++
-			}
-			c.BytesOut += len(payload)
-		})
 	}
 }
 

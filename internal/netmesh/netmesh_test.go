@@ -22,6 +22,8 @@ func TestEnvelopeCodecRoundTrip(t *testing.T) {
 		{Src: 0, Dst: 1, Kind: transport.Data, Seq: 1,
 			Wire: protocol.Wire{From: 0, To: 1, Kind: protocol.UserWire, Msg: 0}},
 		{Src: 2, Dst: 0, Kind: transport.Ack, Seq: 129, Cum: 127},
+		{Src: 2, Dst: 0, Kind: transport.Ack, Chan: 1 << 31, Seq: 1 << 40, Attempt: 2},
+		{Src: 1, Dst: 0, Kind: transport.Beat},
 		{Src: 1, Dst: 2, Kind: transport.Data, Seq: 1 << 40, Attempt: 7,
 			Wire: protocol.Wire{From: 1, To: 2, Kind: protocol.ControlWire, Ctrl: 3,
 				Tag: []byte{0, 255, 1, 2}, VC: []uint64{9, 0, 1 << 50}}},
@@ -29,8 +31,9 @@ func TestEnvelopeCodecRoundTrip(t *testing.T) {
 			Wire: protocol.Wire{From: 0, To: 2, Kind: protocol.UserWire, Msg: 41,
 				Color: event.ColorRed, Tag: []byte("piggyback")}},
 	}
+	var arena []uint64
 	for i, e := range cases {
-		got, err := decodeEnvelope(encodeEnvelope(e))
+		got, err := decodeEnvelope(encodeEnvelope(e), &arena)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -43,7 +46,7 @@ func TestEnvelopeCodecRoundTrip(t *testing.T) {
 func TestCodecRejectsCorruptFrames(t *testing.T) {
 	good := encodeEnvelope(transport.Envelope{Src: 0, Dst: 1, Kind: transport.Data, Seq: 1})
 	for _, b := range [][]byte{nil, {0}, {frameEnvelope}, good[:len(good)-1], append(append([]byte{}, good...), 9)} {
-		if _, err := decodeEnvelope(b); err == nil {
+		if _, err := decodeEnvelope(b, new([]uint64)); err == nil {
 			t.Fatalf("decodeEnvelope(%v) accepted corrupt input", b)
 		}
 	}
@@ -57,8 +60,10 @@ func TestCodecRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
-// freePorts reserves n distinct loopback TCP addresses by binding and
-// immediately releasing them (racy in theory, fine for tests).
+// freePorts reserves n distinct loopback TCP addresses by binding them
+// all, then releasing them (another process could still take one before
+// the test rebinds it; fine for tests). Released one at a time, the
+// kernel now and then hands the same port out twice.
 func freePorts(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
@@ -68,7 +73,7 @@ func freePorts(t *testing.T, n int) []string {
 			t.Fatal(err)
 		}
 		addrs[i] = m.Addr()
-		m.Close()
+		defer m.Close()
 	}
 	return addrs
 }

@@ -197,7 +197,13 @@ type Node struct {
 	downPub  atomic.Bool
 	beatStop chan struct{}
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// progress is what WaitDeliveries sleeps on: signalled when err is
+	// first set and when delivered reaches wakeAt, the smallest count a
+	// sleeper is waiting for (0: none) — so an open-loop run wakes its
+	// waiter once, not once per message.
+	progress  *sync.Cond
+	wakeAt    int
 	events    []event.Event // user-visible events at Self, in local order
 	delivered []event.MsgID
 	stats     protocol.Stats
@@ -269,7 +275,14 @@ func (e *nodeEnv) Deliver(id event.MsgID) {
 	n.events = append(n.events, event.E(id, event.Deliver))
 	n.delivered = append(n.delivered, id)
 	n.stats.Deliveries++
+	wake := n.wakeAt != 0 && len(n.delivered) >= n.wakeAt
+	if wake {
+		n.wakeAt = 0
+	}
 	n.mu.Unlock()
+	if wake {
+		n.progress.Broadcast()
+	}
 	if n.cfg.OnDeliver != nil {
 		n.cfg.OnDeliver(id)
 	}
@@ -306,6 +319,7 @@ func newNode(cfg NodeConfig, send func(transport.Envelope)) (*Node, error) {
 		return nil, fmt.Errorf("netmesh: bad node identity %d/%d", cfg.Self, cfg.Procs)
 	}
 	n := &Node{cfg: cfg, q: newInbox(), send: send}
+	n.progress = sync.NewCond(&n.mu)
 	if cfg.Tracer != nil || cfg.Metrics != nil {
 		start := time.Now()
 		n.sink = &obs.Sink{Tracer: cfg.Tracer, Metrics: cfg.Metrics,
@@ -603,19 +617,24 @@ func (n *Node) Err() error {
 // here (or the node fails, or the timeout passes).
 func (n *Node) WaitDeliveries(k int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
+	// sync.Cond has no timed wait: the deadline is one more wake-up.
+	wake := time.AfterFunc(timeout, n.progress.Broadcast)
+	defer wake.Stop()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	for {
-		n.mu.Lock()
-		got, err := len(n.delivered), n.err
-		n.mu.Unlock()
-		switch {
-		case err != nil:
-			return err
+		switch got := len(n.delivered); {
+		case n.err != nil:
+			return n.err
 		case got >= k:
 			return nil
-		case time.Now().After(deadline):
+		case !time.Now().Before(deadline):
 			return fmt.Errorf("netmesh: P%d delivered %d of %d after %v", n.cfg.Self, got, k, timeout)
 		}
-		time.Sleep(200 * time.Microsecond)
+		if n.wakeAt == 0 || k < n.wakeAt {
+			n.wakeAt = k
+		}
+		n.progress.Wait()
 	}
 }
 
@@ -655,6 +674,7 @@ func (n *Node) fail(err error) {
 		n.err = err
 	}
 	n.mu.Unlock()
+	n.progress.Broadcast()
 }
 
 // journal appends one WAL entry, surfacing write errors as node

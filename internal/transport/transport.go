@@ -552,7 +552,12 @@ type Reliable struct {
 	mu      sync.Mutex
 	next    map[chanKey]uint64
 	pending map[pendKey]*pendingTx
-	seen    map[chanKey]map[uint64]struct{}
+	// acked is the sender-side low-water mark per channel: the highest
+	// cumulative mark an Ack has processed. Nothing pending on the
+	// channel has a sequence number at or below it, so the next
+	// cumulative ack only has to look above it.
+	acked map[chanKey]uint64
+	seen  map[chanKey]map[uint64]struct{}
 	// cum is the receiver-side high-water mark per channel: every seq
 	// ≤ cum[ch] has been accepted. Accept advances it over contiguous
 	// runs and prunes the seen set behind it, which both bounds dedup
@@ -579,6 +584,7 @@ func NewReliable(cfg Config, send func(Envelope)) *Reliable {
 		send:    send,
 		next:    make(map[chanKey]uint64),
 		pending: make(map[pendKey]*pendingTx),
+		acked:   make(map[chanKey]uint64),
 		seen:    make(map[chanKey]map[uint64]struct{}),
 		cum:     make(map[chanKey]uint64),
 		down:    make(map[event.ProcID]bool),
@@ -617,19 +623,33 @@ func (r *Reliable) Wrap(from, to event.ProcID, w protocol.Wire) Envelope {
 // Ack processes an acknowledgement arriving back at the data sender,
 // cancelling its retransmission. A pipelined ack (Cum > 0) also clears
 // every pending envelope on the channel with seq ≤ Cum, so one ack can
-// retire a whole batch. Idempotent.
+// retire a whole batch. Idempotent. The cumulative part costs what it
+// retires: it probes only the sequence numbers between the channel's
+// previous mark and Cum, and walks the whole table only when that range
+// is longer than the table (the first ack after RestoreState).
 func (r *Reliable) Ack(a Envelope) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ch := chanKey{a.Dst, a.Src}
 	delete(r.pending, pendKey{ch, a.Seq})
-	if a.Cum > 0 {
-		for k := range r.pending {
-			if k.ch == ch && k.seq <= a.Cum {
-				delete(r.pending, k)
-				r.counts.CumAcked++
+	// Nothing above next[ch] was ever sent, so a mark beyond it retires
+	// no more than next[ch] does — and must not outrun later Wraps.
+	cum := min(a.Cum, r.next[ch])
+	if low := r.acked[ch]; cum > low {
+		before := len(r.pending)
+		if cum-low > uint64(before) {
+			for k := range r.pending {
+				if k.ch == ch && k.seq <= cum {
+					delete(r.pending, k)
+				}
+			}
+		} else {
+			for seq := low + 1; seq <= cum; seq++ {
+				delete(r.pending, pendKey{ch, seq})
 			}
 		}
+		r.counts.CumAcked += before - len(r.pending)
+		r.acked[ch] = cum
 	}
 	r.counts.AcksReceived++
 	r.progress++
@@ -911,6 +931,7 @@ func (r *Reliable) RestoreState(b []byte) error {
 	r.seen = seen
 	wasIdle := len(r.pending) == 0
 	r.pending = pending
+	clear(r.acked) // the restored table may hold seqs the old marks had passed
 	r.progress++
 	if wasIdle && len(pending) > 0 {
 		select {

@@ -155,9 +155,10 @@ go run ./cmd/mobench mux -smoke >/dev/null
 
 echo "== allocation budget (steady-path gate) =="
 # The pooled encode, outbox pop and frame read paths must be
-# allocation-free once warm. Run without -race (the detector's
-# instrumentation allocates; the tests are build-tagged !race).
-go test -run 'AllocationBudget|AvoidsWindowTimer' ./internal/netmesh/
+# allocation-free once warm, and a connection's VC arena must span its
+# frames. Run without -race (the detector's instrumentation allocates;
+# the tests are build-tagged !race).
+go test -run 'AllocationBudget|ArenaSpansFrames' ./internal/netmesh/
 
 echo "== benchmark module (stack signature gate) =="
 # benchmark/ is its own module compiled against this one (replace
@@ -165,6 +166,23 @@ echo "== benchmark module (stack signature gate) =="
 # here, not when the driver builds the benchmark.
 go vet -C benchmark ./...
 go test -C benchmark ./...
+
+echo "== idle-hop gate (self-clocked sender) =="
+# A mesh sender writes as soon as its socket is free; nothing below the
+# protocol may wait for company. sync-n3 crosses three hops per message
+# on an idle mesh, so a per-hop timer of any size, reintroduced anywhere
+# on the path, multiplies into idle_mid_us (it read ~3000 us with the
+# old 100 us flush window, ~50 us without).
+if grep -n 'time\.AfterFunc' internal/netmesh/mesh.go; then
+    echo "internal/netmesh/mesh.go arms a timer: the send path must clock itself" >&2
+    exit 1
+fi
+idle=$(go run -C benchmark . -smoke --workload sync-n3 -history "$tracetmp/history.ndjson" |
+    sed -n '$s/.*"idle_mid_us":{"value":\([0-9.eE+-]*\).*/\1/p')
+if ! awk -v v="$idle" 'BEGIN { exit !(v != "" && v + 0 < 500) }'; then
+    echo "sync-n3 smoke idle_mid_us = '$idle' us, want < 500" >&2
+    exit 1
+fi
 
 echo "== nil-tracer overhead smoke =="
 # One pass over the explorer benchmarks, uninstrumented and traced: the
