@@ -269,23 +269,23 @@ func RunLoadMesh(p NetProtocol, cfg LoadConfig) (LoadResult, error) {
 
 	out := LoadResult{Runtime: "mesh", Protocol: p.Name, Msgs: len(msgs), Traced: cfg.Traced}
 	procEvents := make([][]event.Event, cfg.Procs)
+	var mesh netmesh.Counters
+	var tr transport.Counters
 	for i, n := range nodes {
 		if err := n.Err(); err != nil {
 			return LoadResult{}, fmt.Errorf("load %s: P%d: %w", p.Name, i, err)
 		}
 		procEvents[i] = n.Events()
-		mc := n.MeshCounters()
-		out.FramesOut += mc.FramesOut
-		out.EnvelopesOut += mc.EnvelopesOut
-		tc := n.TransportCounters()
-		out.Retransmits += tc.Retransmits
-		out.CumAcked += tc.CumAcked
+		mesh.Add(n.MeshCounters())
+		tr.Add(n.TransportCounters())
 		if cfg.WALDir != "" {
 			ws := n.WALStats()
 			out.WALAppends += ws.Appends
 			out.WALFlushes += ws.Flushes
 		}
 	}
+	out.FramesOut, out.EnvelopesOut = mesh.FramesOut, mesh.EnvelopesOut
+	out.Retransmits, out.CumAcked = tr.Retransmits, tr.CumAcked
 	if _, err := userview.New(msgs, procEvents); err != nil {
 		return LoadResult{}, fmt.Errorf("load %s: run invalid: %w", p.Name, err)
 	}

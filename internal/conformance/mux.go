@@ -157,16 +157,7 @@ func runMuxCell(protos []NetProtocol, cfg NetMatrixConfig, cell string, workload
 		if err := m.Err(); err != nil {
 			return nil, nil, fmt.Errorf("mux/%s: %w", cell, err)
 		}
-		mc := m.MeshCounters()
-		meshAgg.Accepted += mc.Accepted
-		meshAgg.Dials += mc.Dials
-		meshAgg.Redials += mc.Redials
-		meshAgg.Rejects += mc.Rejects
-		meshAgg.FramesIn += mc.FramesIn
-		meshAgg.FramesOut += mc.FramesOut
-		meshAgg.BytesIn += mc.BytesIn
-		meshAgg.BytesOut += mc.BytesOut
-		meshAgg.FaultsInjected += mc.FaultsInjected
+		meshAgg.Add(m.MeshCounters())
 		drops += m.UnknownDrops()
 	}
 
@@ -182,12 +173,7 @@ func runMuxCell(protos []NetProtocol, cfg NetMatrixConfig, cell string, workload
 			ch := chans[ci][i]
 			procEvents[i] = ch.Events()
 			out.Stats.Add(ch.Stats())
-			tc := ch.TransportCounters()
-			out.Transport.Sent += tc.Sent
-			out.Transport.Retransmits += tc.Retransmits
-			out.Transport.DupsDropped += tc.DupsDropped
-			out.Transport.AcksReceived += tc.AcksReceived
-			out.Transport.IdleSkips += tc.IdleSkips
+			out.Transport.Add(ch.TransportCounters())
 		}
 		v, err := userview.New(workloads[ci], procEvents)
 		if err != nil {

@@ -238,22 +238,8 @@ func runMeshLockstep(p NetProtocol, cfg NetMatrixConfig, cell string, msgs []eve
 		}
 		procEvents[i] = n.Events()
 		out.Stats.Add(n.Stats())
-		tc := n.TransportCounters()
-		out.Transport.Sent += tc.Sent
-		out.Transport.Retransmits += tc.Retransmits
-		out.Transport.DupsDropped += tc.DupsDropped
-		out.Transport.AcksReceived += tc.AcksReceived
-		out.Transport.IdleSkips += tc.IdleSkips
-		mc := n.MeshCounters()
-		out.Mesh.Accepted += mc.Accepted
-		out.Mesh.Dials += mc.Dials
-		out.Mesh.Redials += mc.Redials
-		out.Mesh.Rejects += mc.Rejects
-		out.Mesh.FramesIn += mc.FramesIn
-		out.Mesh.FramesOut += mc.FramesOut
-		out.Mesh.BytesIn += mc.BytesIn
-		out.Mesh.BytesOut += mc.BytesOut
-		out.Mesh.FaultsInjected += mc.FaultsInjected
+		out.Transport.Add(n.TransportCounters())
+		out.Mesh.Add(n.MeshCounters())
 	}
 	v, err := userview.New(msgs, procEvents)
 	if err != nil {

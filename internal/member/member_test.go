@@ -9,6 +9,7 @@ import (
 
 	"msgorder/internal/crash"
 	"msgorder/internal/event"
+	"msgorder/internal/host"
 	"msgorder/internal/member"
 	"msgorder/internal/protocol"
 	"msgorder/internal/protocols/registry"
@@ -193,7 +194,7 @@ func TestTransferByteIdentical(t *testing.T) {
 				h.invoke(m)
 				if i == 5 {
 					snap := h.insts[target].(protocol.Snapshotter).Snapshot()
-					if err := wal.Checkpoint(snap); err != nil {
+					if err := wal.Checkpoint(host.EncodeCheckpoint(snap, nil)); err != nil {
 						t.Fatalf("checkpoint: %v", err)
 					}
 				}
@@ -263,7 +264,7 @@ func TestRebuildDetectsDivergence(t *testing.T) {
 			break
 		}
 	}
-	if _, _, err := cp.Rebuild(entry.Maker, procs); !errors.Is(err, member.ErrReplayDiverged) {
+	if _, _, err := cp.Rebuild(entry.Maker, procs); !errors.Is(err, host.ErrReplayDiverged) {
 		t.Fatalf("rebuild error = %v, want ErrReplayDiverged", err)
 	}
 }

@@ -1,28 +1,18 @@
 package member
 
 import (
-	"errors"
 	"fmt"
+	"time"
 
 	"msgorder/internal/crash"
 	"msgorder/internal/event"
+	"msgorder/internal/host"
 	"msgorder/internal/protocol"
 )
 
-// Transfer errors.
-var (
-	// ErrReplayDiverged reports a rebuilt instance emitting different
-	// outputs than the journaled incarnation — the state transfer is
-	// not byte-identical and must not go live.
-	ErrReplayDiverged = errors.New("member: transfer replay diverged from journal")
-	// ErrNoSnapshotter reports a checkpointed transfer for a protocol
-	// that cannot restore snapshots.
-	ErrNoSnapshotter = errors.New("member: checkpoint present but protocol has no Snapshotter")
-)
-
 // Checkpoint is one process's transferable ordering state at an epoch
-// boundary: the latest WAL checkpoint blob (opaque — the runtime that
-// wrote it decodes it) plus the journal suffix since. A joiner
+// boundary: the latest WAL checkpoint blob (the process host's one
+// shape, whichever runtime wrote it) plus the journal suffix since. A joiner
 // materializes it into a fresh WAL and durable-boots from that, which
 // restores the snapshot, replays the suffix with output verification,
 // and continues the departed incarnation exactly.
@@ -74,83 +64,21 @@ func (c Checkpoint) Materialize(path string) error {
 	return nil
 }
 
-// replayEnv is the effect-suppressing protocol environment used while
-// rebuilding a transferred instance: outputs are collected for
-// divergence verification instead of being executed.
-type replayEnv struct {
-	self  event.ProcID
-	procs int
-	got   []crash.Entry
-}
-
-func (e *replayEnv) Self() event.ProcID { return e.self }
-func (e *replayEnv) NumProcs() int      { return e.procs }
-func (e *replayEnv) Send(w protocol.Wire) {
-	w.From = e.self
-	e.got = append(e.got, crash.Entry{Kind: crash.EntrySend, Wire: w})
-}
-func (e *replayEnv) Deliver(id event.MsgID) {
-	e.got = append(e.got, crash.Entry{Kind: crash.EntryDeliver, ID: id})
-}
-
-// Rebuild reconstructs a live protocol instance from the checkpoint:
-// restore the snapshot (which must be a raw protocol snapshot — the
-// sim-runtime WAL shape; the socket runtime's composite checkpoints
-// are rebuilt by netmesh's own durable boot via Materialize), then
-// replay the suffix inputs with effects suppressed, verifying each
-// input's outputs against the journaled ones. Returns the instance and
-// the number of replayed inputs; the instance's state is byte-identical
-// to the departed incarnation's (guaranteed by Snapshotter determinism
-// plus the output verification).
+// Rebuild reconstructs a protocol instance from the checkpoint through
+// the process host: restore the snapshot (the host's one blob shape,
+// so either runtime's WAL rebuilds), then replay the suffix inputs with
+// effects suppressed, verifying each input's outputs against the
+// journaled ones (host.ErrReplayDiverged otherwise). Returns the
+// instance — byte-identical to the departed incarnation's by
+// Snapshotter determinism plus that verification, its later effects
+// discarded — and the number of replayed inputs.
 func (c Checkpoint) Rebuild(maker protocol.Maker, procs int) (protocol.Process, int, error) {
+	h := host.New(host.Config{Self: c.Proc, Procs: procs,
+		Send: func(protocol.Wire) {}, Deliver: func(event.MsgID) {}, Fail: func(error) {}})
 	inst := maker()
-	env := &replayEnv{self: c.Proc, procs: procs}
-	inst.Init(env)
-	if c.Snapshot != nil {
-		s, ok := inst.(protocol.Snapshotter)
-		if !ok {
-			return nil, 0, ErrNoSnapshotter
-		}
-		if err := s.Restore(c.Snapshot); err != nil {
-			return nil, 0, fmt.Errorf("member: rebuild restore: %w", err)
-		}
-	}
-	var outs []crash.Entry
-	for _, en := range c.Suffix {
-		if !en.Input() {
-			outs = append(outs, en)
-		}
-	}
-	oi, replayed := 0, 0
-	for _, en := range c.Suffix {
-		if !en.Input() {
-			continue
-		}
-		switch en.Kind {
-		case crash.EntryInvoke:
-			inst.OnInvoke(en.Msg)
-		case crash.EntryBroadcast:
-			if b, ok := inst.(protocol.Broadcaster); ok {
-				b.OnBroadcast(en.Msgs)
-			} else {
-				for _, m := range en.Msgs {
-					inst.OnInvoke(m)
-				}
-			}
-		case crash.EntryReceive:
-			inst.OnReceive(en.Wire)
-		}
-		replayed++
-		for _, g := range env.got {
-			if oi >= len(outs) || !crash.SameOutput(outs[oi], g) {
-				return nil, 0, fmt.Errorf("%w: P%d at input %d (%s)", ErrReplayDiverged, c.Proc, replayed, en.Kind)
-			}
-			oi++
-		}
-		env.got = env.got[:0]
-	}
-	if oi != len(outs) {
-		return nil, 0, fmt.Errorf("%w: P%d re-emitted %d of %d journaled outputs", ErrReplayDiverged, c.Proc, oi, len(outs))
+	_, replayed, err := h.Recover(inst, c.Snapshot, c.Suffix, time.Time{})
+	if err != nil {
+		return nil, 0, fmt.Errorf("member: rebuild: %w", err)
 	}
 	return inst, replayed, nil
 }

@@ -1,12 +1,15 @@
 package netmesh
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"msgorder/internal/crash"
 	"msgorder/internal/event"
+	"msgorder/internal/host"
 	"msgorder/internal/protocols/causal"
 	"msgorder/internal/transport"
 	"msgorder/internal/userview"
@@ -103,4 +106,61 @@ func TestBootOnFreshWALIsNotARecovery(t *testing.T) {
 		t.Fatalf("fresh boot counted %d recoveries", s.Recoveries)
 	}
 	lockstep(t, nodes, seededMsgs(5, 2, 4), 5*time.Second)
+}
+
+// TestDurableBootRefusesDivergentJournal durable-boots a node from a
+// copy of its WAL in which one journaled send was altered: replay
+// re-emits the original send, so boot must fail with the host's
+// sentinel instead of going live.
+func TestDurableBootRefusesDivergentJournal(t *testing.T) {
+	dir := t.TempDir()
+	nodes := startMeshNodes(t, 2, causal.RSTMaker, func(i int, cfg *NodeConfig) {
+		cfg.WALPath = filepath.Join(dir, fmt.Sprintf("p%d.wal", i))
+	})
+	lockstep(t, nodes, seededMsgs(7, 2, 6), 5*time.Second)
+	if err := nodes[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	src, err := crash.OpenFileWAL(filepath.Join(dir, "p0.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, entries := src.Replay()
+	src.Close()
+	altered := false
+	for i := range entries {
+		if entries[i].Kind == crash.EntrySend {
+			entries[i].Wire.Msg += 100
+			altered = true
+			break
+		}
+	}
+	if !altered {
+		t.Fatal("journal holds no send to alter")
+	}
+	path := filepath.Join(dir, "altered.wal")
+	dst, err := crash.OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap != nil {
+		if err := dst.Checkpoint(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range entries {
+		if err := dst.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewNode(NodeConfig{
+		Self: 0, Procs: 2, Maker: causal.RSTMaker, WALPath: path,
+		Mesh: MeshConfig{Addrs: freePorts(t, 2), Fingerprint: Fingerprint("test", "spec", 2)},
+	})
+	if !errors.Is(err, host.ErrReplayDiverged) || !errors.Is(err, ErrProtocol) {
+		t.Fatalf("boot err = %v, want ErrProtocol wrapping host.ErrReplayDiverged", err)
+	}
 }

@@ -119,6 +119,22 @@ type Counters struct {
 	FaultsInjected int
 }
 
+// Add accumulates other into c.
+func (c *Counters) Add(o Counters) {
+	c.Accepted += o.Accepted
+	c.Dials += o.Dials
+	c.Redials += o.Redials
+	c.Rejects += o.Rejects
+	c.FramesIn += o.FramesIn
+	c.FramesOut += o.FramesOut
+	c.EnvelopesIn += o.EnvelopesIn
+	c.EnvelopesOut += o.EnvelopesOut
+	c.Batches += o.Batches
+	c.BytesIn += o.BytesIn
+	c.BytesOut += o.BytesOut
+	c.FaultsInjected += o.FaultsInjected
+}
+
 // ErrRejected reports a peer refusing our handshake (or vice versa):
 // the two endpoints disagree on the protocol/spec fingerprint or the
 // mesh shape, and the dialer must not keep retrying.
@@ -431,7 +447,15 @@ func (m *Mesh) runAccept() {
 func (m *Mesh) serveConn(conn net.Conn) {
 	defer m.connWG.Done()
 	defer conn.Close()
+	// Register under the lock Close sweeps m.conns with, re-checking
+	// closing there: a connection accepted just before the listener
+	// closed must not register after the sweep, or Close would wait on
+	// a reader only the remote peer can end.
 	m.mu.Lock()
+	if m.closed() {
+		m.mu.Unlock()
+		return
+	}
 	m.conns[conn] = struct{}{}
 	m.mu.Unlock()
 	defer func() {

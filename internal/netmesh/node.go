@@ -1,13 +1,13 @@
 // Node hosts one process of a protocol instance on top of the mesh:
-// the distributed counterpart of one internal/sim incarnation. All
-// protocol handlers run on a single goroutine fed by an unbounded
-// inbox (invokes from the local client, envelopes from the mesh), so
-// the paper's per-process serialization holds without protocol-side
-// locking. The reliable sublayer and WAL semantics are byte-for-byte
-// the harness's: every arriving data envelope is accepted (dedup) and
-// re-acked, inputs are journaled before their handler runs, and a
-// crash tears the instance down and rebuilds it by checkpoint restore
-// plus journal replay with output-divergence verification.
+// the same process host (internal/host) the in-memory sim runs, fed by
+// an inbox loop instead of a mailbox goroutine. All protocol handlers
+// run on that single goroutine (invokes from the local client,
+// envelopes from the mesh), so the paper's per-process serialization
+// holds without protocol-side locking. Every arriving data envelope is
+// accepted (dedup) and re-acked; the host journals inputs before their
+// handler runs, checkpoints the protocol together with the reliable
+// sublayer's state, and rebuilds a crashed instance by checkpoint
+// restore plus journal replay with output-divergence verification.
 package netmesh
 
 import (
@@ -19,20 +19,17 @@ import (
 
 	"msgorder/internal/crash"
 	"msgorder/internal/event"
+	"msgorder/internal/host"
 	"msgorder/internal/obs"
 	"msgorder/internal/protocol"
-	"msgorder/internal/snapio"
 	"msgorder/internal/transport"
 )
 
 // Node errors.
 var (
 	// ErrProtocol reports a protocol contract violation (capability,
-	// addressing, replay divergence details wrap it).
+	// addressing) or a failed recovery (host.ErrReplayDiverged, ...).
 	ErrProtocol = errors.New("netmesh: protocol error")
-	// ErrReplayDiverged reports recovery replay emitting different
-	// outputs than the pre-crash incarnation journaled.
-	ErrReplayDiverged = errors.New("netmesh: replay diverged from journal")
 	// ErrClosed reports use of a closed node.
 	ErrClosed = errors.New("netmesh: node closed")
 )
@@ -174,7 +171,6 @@ func (q *inbox) close() {
 // through the host's send hook, which stamps the channel ID.
 type Node struct {
 	cfg   NodeConfig
-	class protocol.Class
 	proto string
 
 	mesh  *Mesh // nil for channel nodes hosted over a shared mesh
@@ -186,10 +182,8 @@ type Node struct {
 	q     *inbox
 
 	// Handler-goroutine state (no locking needed).
-	inst        protocol.Process
-	env         *nodeEnv
+	host        *host.Host
 	down        bool
-	incarnation int
 	heldInvokes []event.Message // invokes arriving during downtime
 
 	// downPub mirrors the handler goroutine's down flag for the beat
@@ -214,63 +208,25 @@ type Node struct {
 	wg sync.WaitGroup
 }
 
-// nodeEnv implements protocol.Env for one incarnation. In replay mode
-// (crash recovery) it suppresses all real effects and collects would-be
-// outputs for divergence checking, exactly like the sim's env.
-type nodeEnv struct {
-	n      *Node
-	replay bool
-	got    []crash.Entry
-}
-
-var _ protocol.Env = (*nodeEnv)(nil)
-
-func (e *nodeEnv) Self() event.ProcID { return e.n.cfg.Self }
-func (e *nodeEnv) NumProcs() int      { return e.n.cfg.Procs }
-
-func (e *nodeEnv) Send(w protocol.Wire) {
-	n := e.n
-	w.From = n.cfg.Self
-	if e.replay {
-		e.got = append(e.got, crash.Entry{Kind: crash.EntrySend, Wire: w})
-		return
-	}
-	if int(w.To) < 0 || int(w.To) >= n.cfg.Procs {
-		n.fail(fmt.Errorf("%w: send to out-of-range process %d", ErrProtocol, w.To))
-		return
-	}
-	if err := protocol.CheckCapability(n.class, w); err != nil {
-		n.fail(fmt.Errorf("%w: P%d: %v", ErrProtocol, n.cfg.Self, err))
-		return
-	}
+// sendWire tallies a wire the host has checked, journaled and probed,
+// and hands it to the reliable sublayer.
+func (n *Node) sendWire(w protocol.Wire) {
 	n.mu.Lock()
-	switch w.Kind {
-	case protocol.UserWire:
+	if w.Kind == protocol.UserWire {
 		n.stats.UserMessages++
 		n.stats.UserTagBytes += len(w.Tag)
 		n.events = append(n.events, event.E(w.Msg, event.Send))
-	case protocol.ControlWire:
+	} else {
 		n.stats.ControlMessages++
 		n.stats.ControlBytes += len(w.Tag)
-	default:
-		n.mu.Unlock()
-		n.fail(fmt.Errorf("%w: P%d sent wire with invalid kind", ErrProtocol, n.cfg.Self))
-		return
 	}
 	n.mu.Unlock()
-	n.journal(crash.Entry{Kind: crash.EntrySend, Wire: w})
-	n.probe.Send(&w)
 	n.send(n.tr.Wrap(n.cfg.Self, w.To, w))
 }
 
-func (e *nodeEnv) Deliver(id event.MsgID) {
-	n := e.n
-	if e.replay {
-		e.got = append(e.got, crash.Entry{Kind: crash.EntryDeliver, ID: id})
-		return
-	}
-	n.journal(crash.Entry{Kind: crash.EntryDeliver, ID: id})
-	n.probe.Deliver(n.cfg.Self, id)
+// deliver records a delivery the host has journaled and probed, and
+// wakes WaitDeliveries sleepers whose count it reaches.
+func (n *Node) deliver(id event.MsgID) {
 	n.mu.Lock()
 	n.events = append(n.events, event.E(id, event.Deliver))
 	n.delivered = append(n.delivered, id)
@@ -340,9 +296,7 @@ func newNode(cfg NodeConfig, send func(transport.Envelope)) (*Node, error) {
 	}
 
 	inst := cfg.Maker()
-	n.class = protocol.General
 	if d, ok := inst.(protocol.Describer); ok {
-		n.class = d.Describe().Class
 		n.proto = d.Describe().Name
 	}
 	if n.sink != nil {
@@ -380,6 +334,12 @@ func newNode(cfg NodeConfig, send func(transport.Envelope)) (*Node, error) {
 		n.send = mesh.Send
 	}
 	n.tr = transport.NewReliable(tcfg, n.send)
+	n.host = host.New(host.Config{
+		Self: cfg.Self, Procs: cfg.Procs, WAL: n.wal, SnapshotEvery: cfg.SnapshotEvery,
+		RuntimeState: n.tr.SnapshotState, Sink: n.sink, Probe: n.probe,
+		Send: n.sendWire, Deliver: n.deliver,
+		Fail: func(err error) { n.fail(fmt.Errorf("%w: %w", ErrProtocol, err)) },
+	})
 
 	if err := n.boot(inst); err != nil {
 		n.tr.Close()
@@ -431,40 +391,31 @@ func (n *Node) runBeats(hb HeartbeatConfig) {
 // boot brings the first incarnation live. With a fresh journal that is
 // just Init. When the configured WALPath already holds a previous
 // OS-process incarnation's journal, boot instead performs a durable
-// restart: restore the composite checkpoint (protocol state AND the
-// reliable sublayer's sequence/dedup state), replay the journal suffix
-// with output verification, then re-apply the suffix's transport
-// effects — journaled receives re-enter the dedup tables so peer
-// retransmits of already-accepted wires are dropped, and journaled
-// sends are re-wrapped (the restored sequence counters reproduce the
-// original seqnums) and retransmitted, which the peer's own dedup
-// absorbs if it had already accepted them. Without this, a restarted
-// daemon's sender counters reset to zero (the peer drops all new sends
-// as duplicates) and its receiver high-water marks regress (old wires
-// get delivered twice).
+// restart: the host restores the checkpoint and replays the journal
+// suffix with output verification; the checkpoint's runtime part
+// restores the reliable sublayer's sequence/dedup state; then the
+// suffix's transport effects are re-applied — journaled receives
+// re-enter the dedup tables so peer retransmits of already-accepted
+// wires are dropped, and journaled sends are re-wrapped (the restored
+// sequence counters reproduce the original seqnums) and retransmitted,
+// which the peer's own dedup absorbs if it had already accepted them.
+// Without this, a restarted daemon's sender counters reset to zero (the
+// peer drops all new sends as duplicates) and its receiver high-water
+// marks regress (old wires get delivered twice).
 func (n *Node) boot(inst protocol.Process) error {
 	snap, entries := n.wal.Replay()
 	if snap == nil && len(entries) == 0 {
-		n.inst = inst
-		n.env = &nodeEnv{n: n}
-		inst.Init(n.env)
+		n.host.Boot(inst)
 		return nil
 	}
-	started := time.Now()
-	e := &nodeEnv{n: n, replay: true}
-	inst.Init(e)
+	trSnap, replayed, err := n.host.Recover(inst, snap, entries, time.Time{})
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrProtocol, err)
+	}
 	if snap != nil {
-		trSnap, err := n.restoreSnapshot(inst, snap)
-		if err != nil {
-			return err
-		}
 		if err := n.tr.RestoreState(trSnap); err != nil {
 			return fmt.Errorf("%w: P%d transport restore: %v", ErrProtocol, n.cfg.Self, err)
 		}
-	}
-	replayed, err := replayEntries(inst, e, entries)
-	if err != nil {
-		return err
 	}
 	// Re-apply the journal suffix's transport effects in journal order,
 	// so sequence assignment matches the pre-crash incarnation exactly.
@@ -476,21 +427,10 @@ func (n *Node) boot(inst protocol.Process) error {
 			n.send(n.tr.Wrap(n.cfg.Self, en.Wire.To, en.Wire))
 		}
 	}
-	e.replay = false
-	e.got = nil
-	n.inst, n.env = inst, e
 	n.mu.Lock()
 	n.stats.Recoveries++
 	n.stats.ReplayedEvents += replayed
 	n.mu.Unlock()
-	if s := n.sink; s.Enabled() {
-		lat := time.Since(started)
-		s.Count("sim.recoveries", 1)
-		s.Observe("crash.recovery.latency.us", lat.Microseconds())
-		s.Observe("crash.recovery.replayed", int64(replayed))
-		s.Trace(obs.Record{Step: s.Step(), Proc: n.cfg.Self, Op: obs.OpRecover, Msg: obs.NoMsg,
-			Note: fmt.Sprintf("durable boot restore live after %v, replayed %d entries", lat.Round(time.Microsecond), replayed)})
-	}
 	return nil
 }
 
@@ -677,14 +617,6 @@ func (n *Node) fail(err error) {
 	n.progress.Broadcast()
 }
 
-// journal appends one WAL entry, surfacing write errors as node
-// failures.
-func (n *Node) journal(e crash.Entry) {
-	if err := n.wal.Append(e); err != nil {
-		n.fail(err)
-	}
-}
-
 // run is the handler loop: one item at a time, per-process serialized.
 func (n *Node) run() {
 	defer n.wg.Done()
@@ -711,10 +643,8 @@ func (n *Node) run() {
 }
 
 func (n *Node) doInvoke(m event.Message) {
-	n.journal(crash.Entry{Kind: crash.EntryInvoke, Msg: m})
 	n.probe.Invoke(m)
-	n.inst.OnInvoke(m)
-	n.maybeCheckpoint()
+	n.host.Invoke(m)
 }
 
 // handleBatch mirrors the sim's receiver side over one arrival batch:
@@ -761,19 +691,9 @@ func (n *Node) handleBatch(envs []transport.Envelope) {
 			} else {
 				rest = append(rest, e)
 			}
-			if !fresh {
-				continue
+			if fresh {
+				n.host.Receive(e.Wire, e.Seq)
 			}
-			// The journal keeps protocol state, not observability
-			// annotations: dropping the trace stamp here releases the
-			// decoder's VC arenas instead of pinning every arriving
-			// stamp in memory for the life of the run.
-			jw := e.Wire
-			jw.VC = nil
-			n.journal(crash.Entry{Kind: crash.EntryReceive, Wire: jw, Seq: e.Seq})
-			n.probe.Receive(e.Wire)
-			n.inst.OnReceive(e.Wire)
-			n.maybeCheckpoint()
 		}
 	}
 	// Always (re-)acknowledge — the previous ack may have been lost.
@@ -788,52 +708,6 @@ func (n *Node) handleBatch(envs []transport.Envelope) {
 	}
 }
 
-// maybeCheckpoint snapshots a Snapshotter protocol once enough journal
-// entries accumulated. Runs between handlers only, so a checkpoint
-// never splits one handler's input from its outputs. The checkpoint is
-// a composite of the protocol snapshot and the reliable sublayer's
-// state, so an OS-process restart (boot restore) resumes with the same
-// sequence counters and dedup high-water marks instead of resetting
-// them — resetting would make the peer drop every new send as a
-// duplicate and would re-deliver wires the pre-crash incarnation
-// already accepted.
-func (n *Node) maybeCheckpoint() {
-	if n.cfg.SnapshotEvery <= 0 || n.wal.SinceCheckpoint() < n.cfg.SnapshotEvery {
-		return
-	}
-	s, ok := n.inst.(protocol.Snapshotter)
-	if !ok {
-		return
-	}
-	blob := encodeCheckpoint(s.Snapshot(), n.tr.SnapshotState())
-	if err := n.wal.Checkpoint(blob); err != nil {
-		n.fail(err)
-		return
-	}
-	crash.ObserveCheckpoint(n.sink, n.inst, len(blob))
-}
-
-// encodeCheckpoint packs the protocol snapshot and the transport state
-// snapshot into one WAL checkpoint blob.
-func encodeCheckpoint(protoSnap, trSnap []byte) []byte {
-	w := snapio.NewWriter(snapio.BytesLen(len(protoSnap)) + snapio.BytesLen(len(trSnap)))
-	w.Bytes(protoSnap)
-	w.Bytes(trSnap)
-	return w.Out()
-}
-
-// decodeCheckpoint splits a composite WAL checkpoint blob back into its
-// protocol and transport parts.
-func decodeCheckpoint(b []byte) (protoSnap, trSnap []byte, err error) {
-	r := snapio.NewReader(b)
-	protoSnap = r.Bytes()
-	trSnap = r.Bytes()
-	if err := r.Close(); err != nil {
-		return nil, nil, err
-	}
-	return protoSnap, trSnap, nil
-}
-
 func (n *Node) doCrash(downtime time.Duration) {
 	if n.down {
 		return
@@ -844,11 +718,7 @@ func (n *Node) doCrash(downtime time.Duration) {
 	n.stats.Crashes++
 	closed := n.closed
 	n.mu.Unlock()
-	if s := n.sink; s.Enabled() {
-		s.Count("sim.crashes", 1)
-		s.Trace(obs.Record{Step: s.Step(), Proc: n.cfg.Self, Op: obs.OpCrash, Msg: obs.NoMsg,
-			Note: fmt.Sprintf("crash-restart, down %v (incarnation %d)", downtime, n.incarnation)})
-	}
+	n.host.Crash(fmt.Sprintf("crash-restart, down %v", downtime))
 	if closed {
 		return
 	}
@@ -860,125 +730,31 @@ func (n *Node) doCrash(downtime time.Duration) {
 	n.mu.Unlock()
 }
 
-// restoreSnapshot decodes a composite checkpoint and restores its
-// protocol part into inst; the transport part is returned for callers
-// that want it (boot restore applies it, in-process restart must not —
-// the live transport's state is ahead of the checkpoint, and regressing
-// it would re-deliver wires the dedup tables already absorbed).
-func (n *Node) restoreSnapshot(inst protocol.Process, snap []byte) ([]byte, error) {
-	protoSnap, trSnap, err := decodeCheckpoint(snap)
-	if err != nil {
-		return nil, fmt.Errorf("%w: P%d checkpoint decode: %v", ErrProtocol, n.cfg.Self, err)
-	}
-	s, ok := inst.(protocol.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("%w: P%d has a checkpoint but no Snapshotter", ErrProtocol, n.cfg.Self)
-	}
-	if err := s.Restore(protoSnap); err != nil {
-		return nil, fmt.Errorf("%w: P%d restore: %v", ErrProtocol, n.cfg.Self, err)
-	}
-	return trSnap, nil
-}
-
-// replayEntries re-runs the journal suffix's inputs through inst with
-// effects suppressed (e must be in replay mode), verifying each input's
-// outputs against the journaled ones. Returns the replayed input count.
-func replayEntries(inst protocol.Process, e *nodeEnv, entries []crash.Entry) (int, error) {
-	self := e.n.cfg.Self
-	var outs []crash.Entry
-	for _, en := range entries {
-		if !en.Input() {
-			outs = append(outs, en)
-		}
-	}
-	oi, replayed := 0, 0
-	for _, en := range entries {
-		if !en.Input() {
-			continue
-		}
-		switch en.Kind {
-		case crash.EntryInvoke:
-			inst.OnInvoke(en.Msg)
-		case crash.EntryBroadcast:
-			deliverBroadcast(inst, en.Msgs)
-		case crash.EntryReceive:
-			inst.OnReceive(en.Wire)
-		}
-		replayed++
-		for _, g := range e.got {
-			if oi >= len(outs) || !crash.SameOutput(outs[oi], g) {
-				return 0, fmt.Errorf("%w: P%d replaying %s entry %d", ErrReplayDiverged, self, en.Kind, replayed)
-			}
-			oi++
-		}
-		e.got = e.got[:0]
-	}
-	if oi != len(outs) {
-		return 0, fmt.Errorf("%w: P%d re-emitted %d of %d journaled outputs", ErrReplayDiverged, self, oi, len(outs))
-	}
-	return replayed, nil
-}
-
-// doRestart rebuilds the protocol instance from durable state: restore
-// the latest checkpoint, replay the journal suffix with effects
-// suppressed, verify the replayed outputs match what the pre-crash
-// incarnation journaled, then go live and drain invokes held during
-// the downtime.
+// doRestart rebuilds the protocol instance from durable state through
+// the host (checkpoint restore, journal replay, output verification),
+// then goes live and drains invokes held during the downtime. The
+// checkpoint's transport part is ignored: the live transport's state is
+// ahead of it, and regressing it would re-deliver wires the dedup
+// tables already absorbed.
 func (n *Node) doRestart() {
 	if !n.down {
 		return
 	}
-	started := time.Now()
-	inst := n.cfg.Maker()
-	e := &nodeEnv{n: n, replay: true}
-	inst.Init(e)
-
 	snap, entries := n.wal.Replay()
-	if snap != nil {
-		if _, err := n.restoreSnapshot(inst, snap); err != nil {
-			n.fail(err)
-			return
-		}
-	}
-	replayed, err := replayEntries(inst, e, entries)
+	_, replayed, err := n.host.Recover(n.cfg.Maker(), snap, entries, time.Time{})
 	if err != nil {
-		n.fail(err)
+		n.fail(fmt.Errorf("%w: %w", ErrProtocol, err))
 		return
 	}
-
-	e.replay = false
-	e.got = nil
-	n.inst, n.env = inst, e
 	n.down = false
 	n.downPub.Store(false)
-	n.incarnation++
 	n.mu.Lock()
 	n.stats.Recoveries++
 	n.stats.ReplayedEvents += replayed
 	n.mu.Unlock()
-	if s := n.sink; s.Enabled() {
-		lat := time.Since(started)
-		s.Count("sim.recoveries", 1)
-		s.Observe("crash.recovery.latency.us", lat.Microseconds())
-		s.Observe("crash.recovery.replayed", int64(replayed))
-		s.Trace(obs.Record{Step: s.Step(), Proc: n.cfg.Self, Op: obs.OpRecover, Msg: obs.NoMsg,
-			Note: fmt.Sprintf("incarnation %d live after %v, replayed %d entries", n.incarnation, lat.Round(time.Microsecond), replayed)})
-	}
 	held := n.heldInvokes
 	n.heldInvokes = nil
 	for _, m := range held {
 		n.doInvoke(m)
-	}
-}
-
-// deliverBroadcast mirrors the sim's replay dispatch for broadcast
-// journal entries.
-func deliverBroadcast(p protocol.Process, msgs []event.Message) {
-	if b, ok := p.(protocol.Broadcaster); ok {
-		b.OnBroadcast(msgs)
-		return
-	}
-	for _, m := range msgs {
-		p.OnInvoke(m)
 	}
 }

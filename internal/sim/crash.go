@@ -1,11 +1,10 @@
 // Crash/restart lifecycle for the live harness. A process is one
-// mailbox for life plus a sequence of incarnations: crashing an
-// incarnation makes its goroutine exit at the next mailbox pop (a
-// running handler always completes — the journal never splits an
-// event), and restarting builds a fresh protocol instance, restores the
-// latest checkpoint, replays the journal suffix with all effects
-// suppressed, verifies the replayed outputs match what the pre-crash
-// incarnation journaled, and only then goes live again.
+// mailbox and one host (internal/host) for life, plus a sequence of
+// incarnations: crashing an incarnation makes its goroutine exit at the
+// next mailbox pop (a running handler always completes — the journal
+// never splits an event), and restarting hands a fresh protocol
+// instance to the host's Recover — checkpoint restore, journal replay,
+// output verification — before a new goroutine drains the mailbox.
 package sim
 
 import (
@@ -15,28 +14,13 @@ import (
 
 	"msgorder/internal/crash"
 	"msgorder/internal/event"
-	"msgorder/internal/obs"
-	"msgorder/internal/protocol"
 )
 
-// incarnation is one lifetime of one process: the protocol instance,
-// its env, and the channels fencing its goroutine and heartbeats.
+// incarnation fences one lifetime of one process: its goroutine and
+// its heartbeats.
 type incarnation struct {
-	self   event.ProcID
-	num    int // 0 for the boot instance
-	inst   protocol.Process
-	env    *env
 	gone   chan struct{} // closed when the process goroutine exits
 	hbStop chan struct{} // closed to stop this incarnation's heartbeats
-}
-
-// journal appends a WAL entry for this process, when journaling is on.
-func (inc *incarnation) journal(e crash.Entry) {
-	if w := inc.env.wal; w != nil {
-		if err := w.Append(e); err != nil {
-			inc.env.nw.fail(err)
-		}
-	}
 }
 
 // openWAL builds process i's write-ahead log: file-backed when the plan
@@ -86,17 +70,11 @@ func (nw *Network) crashProcess(sp crash.Spec) bool {
 	nw.work.add(-lost)
 	nw.tr.PeerDown(sp.Proc)
 	nw.det.MarkCrashed(sp.Proc, true)
-	if s := nw.sink; s.Enabled() {
-		kind := "crash-stop"
-		if sp.Restart {
-			kind = fmt.Sprintf("crash-restart, down %v", sp.Downtime)
-		}
-		s.Count("sim.crashes", 1)
-		s.Trace(obs.Record{
-			Step: s.Step(), Proc: sp.Proc, Op: obs.OpCrash, Msg: obs.NoMsg,
-			Note: fmt.Sprintf("%s at release %d (incarnation %d)", kind, sp.At, inc.num),
-		})
+	kind := "crash-stop"
+	if sp.Restart {
+		kind = fmt.Sprintf("crash-restart, down %v", sp.Downtime)
 	}
+	nw.hosts[sp.Proc].Crash(fmt.Sprintf("%s at release %d", kind, sp.At))
 
 	if sp.Restart {
 		crashedAt := time.Now()
@@ -121,8 +99,8 @@ func (nw *Network) crashProcess(sp crash.Spec) bool {
 	return true
 }
 
-// restartProcess brings p back after its downtime: restore, replay,
-// verify, then go live.
+// restartProcess brings p back after its downtime: the host restores,
+// replays and verifies, then a new incarnation goes live.
 func (nw *Network) restartProcess(p event.ProcID, old *incarnation, crashedAt time.Time) {
 	<-old.gone
 	nw.mu.Lock()
@@ -131,69 +109,15 @@ func (nw *Network) restartProcess(p event.ProcID, old *incarnation, crashedAt ti
 	if stopped {
 		return
 	}
-
-	inst := nw.maker()
-	e := &env{nw: nw, self: p, replay: true}
-	inst.Init(e)
-
-	wal := nw.wals[p]
-	snap, entries := wal.Replay()
-	if snap != nil {
-		s, ok := inst.(protocol.Snapshotter)
-		if !ok {
-			nw.fail(fmt.Errorf("%w: P%d has a checkpoint but no Snapshotter", ErrProtocol, p))
-			return
-		}
-		if err := s.Restore(snap); err != nil {
-			nw.fail(fmt.Errorf("%w: P%d restore: %v", ErrProtocol, p, err))
-			return
-		}
-	}
-	var outs []crash.Entry
-	for _, en := range entries {
-		if !en.Input() {
-			outs = append(outs, en)
-		}
-	}
-	oi, replayed := 0, 0
-	for _, en := range entries {
-		if !en.Input() {
-			continue
-		}
-		switch en.Kind {
-		case crash.EntryInvoke:
-			inst.OnInvoke(en.Msg)
-		case crash.EntryBroadcast:
-			deliverBroadcast(inst, en.Msgs)
-		case crash.EntryReceive:
-			inst.OnReceive(en.Wire)
-		}
-		replayed++
-		for _, g := range e.got {
-			if oi >= len(outs) || !crash.SameOutput(outs[oi], g) {
-				nw.fail(fmt.Errorf("%w: P%d replaying %s entry %d", ErrReplayDiverged, p, en.Kind, replayed))
-				return
-			}
-			oi++
-		}
-		e.got = e.got[:0]
-	}
-	if oi != len(outs) {
-		nw.fail(fmt.Errorf("%w: P%d re-emitted %d of %d journaled outputs", ErrReplayDiverged, p, oi, len(outs)))
+	snap, entries := nw.wals[p].Replay()
+	_, replayed, err := nw.hosts[p].Recover(nw.maker(), snap, entries, crashedAt)
+	if err != nil {
+		nw.fail(fmt.Errorf("%w: %w", ErrProtocol, err))
 		return
 	}
-
-	// Go live. The env flips out of replay mode before the goroutine
-	// starts, so the new incarnation journals and sends for real.
-	e.replay = false
-	e.wal = wal
-	e.got = nil
-	ninc := &incarnation{
-		self: p, num: old.num + 1, inst: inst, env: e,
-		gone: make(chan struct{}), hbStop: make(chan struct{}),
-	}
+	inc := &incarnation{gone: make(chan struct{}), hbStop: make(chan struct{})}
 	nw.crashMu.Lock()
-	nw.incs[p] = ninc
+	nw.incs[p] = inc
 	nw.downProcs[p] = false
 	nw.tallyCrash.recoveries++
 	nw.tallyCrash.replayed += replayed
@@ -202,50 +126,19 @@ func (nw *Network) restartProcess(p event.ProcID, old *incarnation, crashedAt ti
 	nw.procs[p].restart()
 	nw.tr.PeerUp(p)
 	nw.det.MarkCrashed(p, false)
-	if s := nw.sink; s.Enabled() {
-		lat := time.Since(crashedAt)
-		s.Count("sim.recoveries", 1)
-		s.Observe("crash.recovery.latency.us", lat.Microseconds())
-		s.Observe("crash.recovery.replayed", int64(replayed))
-		s.Trace(obs.Record{
-			Step: s.Step(), Proc: p, Op: obs.OpRecover, Msg: obs.NoMsg,
-			Note: fmt.Sprintf("incarnation %d live after %v, replayed %d entries", ninc.num, lat.Round(time.Microsecond), replayed),
-		})
-	}
-	go nw.runProcess(ninc)
-	go nw.heartbeat(ninc)
-}
-
-// maybeCheckpoint snapshots a Snapshotter protocol once enough entries
-// accumulated since the last checkpoint, truncating its journal. Runs
-// only between handlers on the process's own goroutine, so a checkpoint
-// never splits one handler's input from its outputs.
-func (nw *Network) maybeCheckpoint(inc *incarnation) {
-	w := inc.env.wal
-	if w == nil || nw.crashes.SnapshotEvery <= 0 || w.SinceCheckpoint() < nw.crashes.SnapshotEvery {
-		return
-	}
-	s, ok := inc.inst.(protocol.Snapshotter)
-	if !ok {
-		return
-	}
-	snap := s.Snapshot()
-	if err := w.Checkpoint(snap); err != nil {
-		nw.fail(err)
-		return
-	}
-	crash.ObserveCheckpoint(nw.sink, inc.inst, len(snap))
+	go nw.runProcess(p, inc)
+	go nw.heartbeat(p, inc)
 }
 
 // heartbeat feeds the failure detector for one incarnation.
-func (nw *Network) heartbeat(inc *incarnation) {
-	nw.det.Beat(inc.self)
+func (nw *Network) heartbeat(p event.ProcID, inc *incarnation) {
+	nw.det.Beat(p)
 	t := time.NewTicker(nw.det.Config().Interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			nw.det.Beat(inc.self)
+			nw.det.Beat(p)
 		case <-inc.hbStop:
 			return
 		case <-nw.done:

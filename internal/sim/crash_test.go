@@ -2,11 +2,13 @@ package sim
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"msgorder/internal/crash"
 	"msgorder/internal/event"
+	"msgorder/internal/host"
 	"msgorder/internal/obs"
 	"msgorder/internal/protocol"
 	"msgorder/internal/protocols/causal"
@@ -80,6 +82,45 @@ func TestCrashRestartRecoversEveryProtocol(t *testing.T) {
 			// right after a checkpoint. TestRecoveryReplaysJournal pins
 			// replay down with checkpointing disabled.
 		})
+	}
+}
+
+// stamped tags every send with its instance's creation number: a maker
+// that is not deterministic, so a restarted instance cannot re-emit
+// what its pre-crash incarnation journaled.
+type stamped struct {
+	env protocol.Env
+	id  byte
+}
+
+func (s *stamped) Init(env protocol.Env)     { s.env = env }
+func (s *stamped) OnReceive(w protocol.Wire) { s.env.Deliver(w.Msg) }
+func (s *stamped) OnInvoke(m event.Message) {
+	s.env.Send(protocol.Wire{To: m.To, Kind: protocol.UserWire, Msg: m.ID, Tag: []byte{s.id}})
+}
+
+// TestCrashRestartDetectsReplayDivergence crash-restarts a process
+// whose maker is not deterministic: its replay diverges from the
+// journal, so it must not go live and the run must fail with the
+// host's sentinel.
+func TestCrashRestartDetectsReplayDivergence(t *testing.T) {
+	var made atomic.Int32
+	maker := func() protocol.Process { return &stamped{id: byte(made.Add(1))} }
+	plan := crash.Plan{
+		Crashes:  []crash.Spec{{Proc: 0, At: 10, Restart: true, Downtime: 5 * time.Millisecond}},
+		Downtime: 5 * time.Millisecond,
+	}
+	nw := New(2, maker, WithSeed(3), WithCrashes(plan), WithTimeout(50*time.Millisecond))
+	for i := 0; i < 20; i++ {
+		if err := nw.Invoke(Request{From: 0, To: 1}); err != nil {
+			t.Fatalf("invoke %d: %v", i, err)
+		}
+	}
+	if _, err := nw.Stop(); !errors.Is(err, host.ErrReplayDiverged) {
+		t.Fatalf("Stop err = %v, want host.ErrReplayDiverged", err)
+	}
+	if made.Load() != 3 {
+		t.Fatalf("maker called %d times, want 3 (two boots, one restart)", made.Load())
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 
 	"msgorder/internal/crash"
 	"msgorder/internal/event"
+	"msgorder/internal/host"
 	"msgorder/internal/obs"
 	"msgorder/internal/protocol"
 	"msgorder/internal/run"
@@ -48,11 +49,6 @@ var (
 	// The request is dropped, exactly as a real client's request to a
 	// dead server would be.
 	ErrCrashed = errors.New("sim: process crashed")
-	// ErrReplayDiverged reports that a restarted process, replaying its
-	// journal, emitted different sends or deliveries than its pre-crash
-	// incarnation journaled — the protocol's state is not a function of
-	// its event history, so recovery cannot be trusted.
-	ErrReplayDiverged = errors.New("sim: recovery replay diverged from journal")
 )
 
 // stallCap bounds how long a lossy-network Quiesce may extend past the
@@ -197,8 +193,8 @@ type Network struct {
 	timeout time.Duration
 	maker   protocol.Maker
 
-	procs   []*mailbox
-	classes []protocol.Class
+	procs []*mailbox
+	hosts []*host.Host
 
 	pool     chan flight
 	work     *workGate
@@ -432,8 +428,8 @@ func New(n int, maker protocol.Maker, opts ...Option) *Network {
 		pool:    make(chan flight, 1),
 		work:    newWorkGate(),
 		done:    make(chan struct{}),
+		maker:   maker,
 	}
-	nw.maker = maker
 	for _, o := range opts {
 		o(nw)
 	}
@@ -481,32 +477,36 @@ func New(n int, maker protocol.Maker, opts ...Option) *Network {
 		nw.sched = nw.crashInj
 	}
 	proto := ""
-	for i := 0; i < n; i++ {
-		p := maker()
-		class := protocol.General
-		if d, ok := p.(protocol.Describer); ok {
-			class = d.Describe().Class
+	insts := make([]protocol.Process, n)
+	for i := range insts {
+		insts[i] = maker()
+		if d, ok := insts[i].(protocol.Describer); ok {
 			proto = d.Describe().Name
 		}
-		e := &env{nw: nw, self: event.ProcID(i)}
-		if nw.wals != nil {
-			e.wal = nw.wals[i]
-		}
-		nw.incs = append(nw.incs, &incarnation{
-			self: event.ProcID(i), inst: p, env: e,
-			gone: make(chan struct{}), hbStop: make(chan struct{}),
-		})
-		nw.classes = append(nw.classes, class)
-		nw.procs = append(nw.procs, newMailbox())
-		p.Init(e)
 	}
 	if nw.sink != nil {
 		nw.probe = obs.NewProbe(n, nw.tracer, nw.metrics, proto, nw.sink.Now)
 	}
-	for _, inc := range nw.incs {
-		go nw.runProcess(inc)
+	for i, inst := range insts {
+		self := event.ProcID(i)
+		cfg := host.Config{
+			Self: self, Procs: n, Sink: nw.sink, Probe: nw.probe,
+			Send:    func(w protocol.Wire) { nw.send(self, w) },
+			Deliver: func(id event.MsgID) { nw.deliver(self, id) },
+			Fail:    func(err error) { nw.fail(fmt.Errorf("%w: %w", ErrProtocol, err)) },
+		}
+		if nw.wals != nil {
+			cfg.WAL, cfg.SnapshotEvery = nw.wals[i], nw.crashes.SnapshotEvery
+		}
+		nw.hosts = append(nw.hosts, host.New(cfg))
+		nw.hosts[i].Boot(inst)
+		nw.incs = append(nw.incs, &incarnation{gone: make(chan struct{}), hbStop: make(chan struct{})})
+		nw.procs = append(nw.procs, newMailbox())
+	}
+	for i, inc := range nw.incs {
+		go nw.runProcess(event.ProcID(i), inc)
 		if nw.det != nil {
-			go nw.heartbeat(inc)
+			go nw.heartbeat(event.ProcID(i), inc)
 		}
 	}
 	go nw.runAdversary()
@@ -750,58 +750,46 @@ func (nw *Network) inject(f flight) bool {
 	}
 }
 
-// runProcess is one incarnation's goroutine: it drains the process's
-// mailbox, journaling each input before its handler runs (so a crash
-// never loses a half-applied event — the goroutine only exits between
-// handlers, at the next pop).
-func (nw *Network) runProcess(inc *incarnation) {
+// runProcess is one incarnation's goroutine: it drains process p's
+// mailbox into its host, which journals each input before its handler
+// runs (so a crash never loses a half-applied event — the goroutine
+// only exits between handlers, at the next pop).
+func (nw *Network) runProcess(p event.ProcID, inc *incarnation) {
 	defer close(inc.gone)
+	h := nw.hosts[p]
 	for {
-		it, ok := nw.procs[inc.self].pop()
+		it, ok := nw.procs[p].pop()
 		if !ok {
 			return
 		}
 		switch {
 		case it.isInvoke:
-			inc.journal(crash.Entry{Kind: crash.EntryInvoke, Msg: it.msg})
-			inc.inst.OnInvoke(it.msg)
+			h.Invoke(it.msg)
 			nw.work.done()
-			nw.maybeCheckpoint(inc)
 		case it.isBroadcast:
-			inc.journal(crash.Entry{Kind: crash.EntryBroadcast, Msgs: it.msgs})
-			deliverBroadcast(inc.inst, it.msgs)
+			h.Broadcast(it.msgs)
 			nw.work.done()
-			nw.maybeCheckpoint(inc)
 		case it.isEnv:
-			nw.handleEnvelope(inc, it.env)
+			nw.handleEnvelope(h, it.env)
 		default:
-			if it.wire.Kind == protocol.UserWire {
-				nw.rec.RecordReceive(it.wire.Msg)
-			}
-			nw.probe.Receive(it.wire)
-			inc.inst.OnReceive(it.wire)
-			nw.work.done()
+			nw.receive(h, it.wire, 0)
 		}
 	}
 }
 
-// deliverBroadcast hands one logical broadcast to the protocol, falling
-// back to per-copy invokes when it is not a Broadcaster. Replay uses
-// the same dispatch so a recovering instance sees identical calls.
-func deliverBroadcast(p protocol.Process, msgs []event.Message) {
-	if b, ok := p.(protocol.Broadcaster); ok {
-		b.OnBroadcast(msgs)
-		return
+// receive records a first-copy wire arrival and runs its handler.
+func (nw *Network) receive(h *host.Host, w protocol.Wire, seq uint64) {
+	if w.Kind == protocol.UserWire {
+		nw.rec.RecordReceive(w.Msg)
 	}
-	for _, m := range msgs {
-		p.OnInvoke(m)
-	}
+	h.Receive(w, seq)
+	nw.work.done()
 }
 
 // handleEnvelope is the receiver side of the transport sublayer: acks
 // are routed to the pending table; data envelopes are acknowledged,
 // deduplicated, and (first copy only) handed to the protocol.
-func (nw *Network) handleEnvelope(inc *incarnation, ev transport.Envelope) {
+func (nw *Network) handleEnvelope(h *host.Host, ev transport.Envelope) {
 	switch ev.Kind {
 	case transport.Ack:
 		nw.tr.Ack(ev)
@@ -809,18 +797,9 @@ func (nw *Network) handleEnvelope(inc *incarnation, ev transport.Envelope) {
 		fresh := nw.tr.Accept(ev)
 		// Always (re-)acknowledge — the previous ack may have been lost.
 		nw.inject(flight{env: transport.AckFor(ev), isEnv: true})
-		if !fresh {
-			return
+		if fresh {
+			nw.receive(h, ev.Wire, ev.Seq)
 		}
-		w := ev.Wire
-		if w.Kind == protocol.UserWire {
-			nw.rec.RecordReceive(w.Msg)
-		}
-		inc.journal(crash.Entry{Kind: crash.EntryReceive, Wire: w})
-		nw.probe.Receive(w)
-		inc.inst.OnReceive(w)
-		nw.work.done()
-		nw.maybeCheckpoint(inc)
 	}
 }
 
@@ -882,103 +861,42 @@ func (nw *Network) fail(err error) {
 	}
 }
 
-// env implements protocol.Env for one incarnation of a live process.
-// With crashes enabled it journals every Send and Deliver into the
-// process's WAL; in replay mode (recovery) it suppresses all real
-// effects and collects the would-be outputs for divergence checking.
-type env struct {
-	nw     *Network
-	self   event.ProcID
-	wal    *crash.WAL // nil without WithCrashes
-	replay bool
-	got    []crash.Entry // outputs collected during replay
-}
-
-var _ protocol.Env = (*env)(nil)
-
-func (e *env) Self() event.ProcID { return e.self }
-func (e *env) NumProcs() int      { return e.nw.n }
-
-func (e *env) Send(w protocol.Wire) {
-	nw := e.nw
-	w.From = e.self
-	if e.replay {
-		e.got = append(e.got, crash.Entry{Kind: crash.EntrySend, Wire: w})
-		return
-	}
-	if int(w.To) < 0 || int(w.To) >= nw.n {
-		nw.fail(fmt.Errorf("%w: send to out-of-range process %d", ErrProtocol, w.To))
-		return
-	}
-	if err := protocol.CheckCapability(nw.classes[e.self], w); err != nil {
-		nw.fail(fmt.Errorf("%w: P%d: %w", ErrProtocol, e.self, err))
-		return
-	}
-	switch w.Kind {
-	case protocol.UserWire:
-		nw.rec.RecordSend(w.Msg, len(w.Tag))
-	case protocol.ControlWire:
-		nw.rec.RecordControl(len(w.Tag))
-	default:
-		nw.fail(fmt.Errorf("%w: P%d sent wire with invalid kind", ErrProtocol, e.self))
-		return
-	}
-	if e.wal != nil {
-		if err := e.wal.Append(crash.Entry{Kind: crash.EntrySend, Wire: w}); err != nil {
-			nw.fail(err)
-		}
-	}
-	nw.probe.Send(&w)
-	if nw.crashes != nil {
-		nw.sendCrashAware(e.self, w)
-		return
-	}
-	nw.work.add(1)
-	var f flight
-	if nw.tr != nil {
-		f = flight{env: nw.tr.Wrap(e.self, w.To, w), isEnv: true}
-	} else {
-		f = flight{wire: w}
-	}
-	if !nw.inject(f) {
-		nw.work.done()
-		nw.fail(fmt.Errorf("%w: P%d sent after network stop", ErrProtocol, e.self))
-	}
-}
-
-// sendCrashAware hands a wire to the transport under the crash fence:
-// wires addressed to a crash-stopped process vanish (their messages
-// stay undelivered, which conformance tolerates for crash-stop plans),
-// and holding the read lock across Wrap guarantees CancelTo sees every
+// send records a wire its host has checked, journaled and probed, and
+// hands it to the adversary: bare in fault-free mode, wrapped by the
+// reliable transport otherwise. Under a crash plan, wires addressed to
+// a crash-stopped process vanish (their messages stay undelivered,
+// which conformance tolerates for crash-stop plans), and holding the
+// crash fence's read lock across Wrap guarantees CancelTo sees every
 // envelope a racing crash-stop must uncount.
-func (nw *Network) sendCrashAware(self event.ProcID, w protocol.Wire) {
-	nw.crashMu.RLock()
-	if nw.deadProcs[w.To] {
-		nw.crashMu.RUnlock()
-		return
+func (nw *Network) send(self event.ProcID, w protocol.Wire) {
+	if w.Kind == protocol.UserWire {
+		nw.rec.RecordSend(w.Msg, len(w.Tag))
+	} else {
+		nw.rec.RecordControl(len(w.Tag))
 	}
-	nw.work.add(1)
-	f := flight{env: nw.tr.Wrap(self, w.To, w), isEnv: true}
-	nw.crashMu.RUnlock()
+	f := flight{wire: w}
+	if nw.tr == nil {
+		nw.work.add(1)
+	} else {
+		nw.crashMu.RLock()
+		if nw.deadProcs != nil && nw.deadProcs[w.To] {
+			nw.crashMu.RUnlock()
+			return
+		}
+		nw.work.add(1)
+		f = flight{env: nw.tr.Wrap(self, w.To, w), isEnv: true}
+		nw.crashMu.RUnlock()
+	}
 	if !nw.inject(f) {
 		nw.work.done()
 		nw.fail(fmt.Errorf("%w: P%d sent after network stop", ErrProtocol, self))
 	}
 }
 
-func (e *env) Deliver(id event.MsgID) {
-	nw := e.nw
-	if e.replay {
-		e.got = append(e.got, crash.Entry{Kind: crash.EntryDeliver, ID: id})
-		return
-	}
-	if e.wal != nil {
-		if err := e.wal.Append(crash.Entry{Kind: crash.EntryDeliver, ID: id}); err != nil {
-			nw.fail(err)
-		}
-	}
+// deliver records a delivery its host has journaled and probed, then
+// runs the workload's delivery hook.
+func (nw *Network) deliver(self event.ProcID, id event.MsgID) {
 	nw.rec.RecordDeliver(id)
-	nw.probe.Deliver(e.self, id)
 	nw.mu.Lock()
 	hook := nw.onDeliver
 	nw.mu.Unlock()
@@ -986,7 +904,7 @@ func (e *env) Deliver(id event.MsgID) {
 		return
 	}
 	nw.hookMu.Lock()
-	reqs := hook(e.self, id)
+	reqs := hook(self, id)
 	nw.hookMu.Unlock()
 	for _, req := range reqs {
 		err := nw.Invoke(req)

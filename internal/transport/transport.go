@@ -527,6 +527,16 @@ type Counters struct {
 	IdleSkips int
 }
 
+// Add accumulates other into c.
+func (c *Counters) Add(o Counters) {
+	c.Sent += o.Sent
+	c.Retransmits += o.Retransmits
+	c.DupsDropped += o.DupsDropped
+	c.AcksReceived += o.AcksReceived
+	c.CumAcked += o.CumAcked
+	c.IdleSkips += o.IdleSkips
+}
+
 type chanKey [2]event.ProcID
 
 type pendKey struct {

@@ -45,11 +45,12 @@ done
 [ "$missing" = 0 ]
 
 echo "== doc lint (exported identifiers) =="
-# The hot-path packages are API surface for the load tooling: every
-# exported top-level identifier in internal/transport and
-# internal/netmesh must carry a doc comment.
+# The hot-path packages are API surface for the load tooling, and the
+# process host is the contract both live runtimes build on: every
+# exported top-level identifier in internal/transport, internal/netmesh
+# and internal/host must carry a doc comment.
 undocumented=0
-for dir in internal/transport internal/netmesh; do
+for dir in internal/transport internal/netmesh internal/host; do
     for f in "$dir"/*.go; do
         case "$f" in *_test.go) continue ;; esac
         found=$(awk '
@@ -71,10 +72,11 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race (concurrency gate) =="
-# The live harness, transport sublayer, parallel explorer and the
+# The live harness, the process host it shares with the socket
+# runtime, the transport sublayer, parallel explorer and the
 # observability registry are the concurrent core; run their suites
 # (plus the facade) under the race detector.
-go test -race ./internal/sim/... ./internal/transport/... ./internal/conformance/... \
+go test -race ./internal/sim/... ./internal/host/ ./internal/transport/... ./internal/conformance/... \
     ./internal/crash/... ./internal/dsim/... ./internal/obs/... ./internal/shard/... \
     ./internal/fleetobs/... ./internal/member/... .
 
