@@ -13,10 +13,6 @@
 //	mobench crashes     # E11: crash/recovery matrix (-json writes BENCH_crashes.json)
 //	mobench net         # E12: sim vs loopback-TCP mesh (-json writes BENCH_net.json;
 //	                    #      -smoke -modbin M diffs real mod processes against the sim)
-//	mobench load        # E13: sustained open-loop load, sim + mesh (-json writes
-//	                    #      BENCH_load.json; -wal adds group-commit file WALs)
-//	mobench shard       # E14: ordering-key sharded load across independent
-//	                    #      domains (-json writes BENCH_shard.json)
 //	mobench obs         # E15: observability-plane overhead — traced vs untraced
 //	                    #      load, scraped fleet timelines, contended locks
 //	                    #      (-json writes BENCH_obs.json)
@@ -24,11 +20,14 @@
 //	                    #      x topology-shaped environments (-json writes
 //	                    #      BENCH_churn.json; -smoke is the CI gate)
 //	mobench mux         # E17: multiplexed channels — per-channel guarantee levels
-//	                    #      over one shared mesh, views vs standalone + overhead
-//	                    #      comparison (-json writes BENCH_mux.json; -smoke is
-//	                    #      the CI gate)
+//	                    #      over one shared mesh, views vs standalone (-json
+//	                    #      writes BENCH_mux.json; -smoke is the CI gate)
 //	mobench bench       # write BENCH_*.json snapshots (-outdir picks the directory)
 //	mobench all         # every table experiment
+//
+// E13 (open-loop load) and E14 (ordering-key sharded load) are measured
+// by the benchmark module (benchmark/, workloads fifo-n3 and keyed-1k),
+// not by mobench.
 //
 // Global flags (before the subcommand):
 //
@@ -176,10 +175,6 @@ func run(args []string) error {
 		return crashesCmd(args[1:])
 	case "net":
 		return netCmd(args[1:])
-	case "load":
-		return loadCmd(args[1:])
-	case "shard":
-		return shardCmd(args[1:])
 	case "obs":
 		return obsCmd(args[1:])
 	case "churn":

@@ -227,8 +227,7 @@ func TestBenchCmd(t *testing.T) {
 	}
 	for _, name := range []string{
 		"BENCH_explore.json", "BENCH_faults.json", "BENCH_crashes.json",
-		"BENCH_net.json", "BENCH_shard.json", "BENCH_churn.json",
-		"BENCH_mux.json",
+		"BENCH_net.json", "BENCH_churn.json", "BENCH_mux.json",
 	} {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -241,5 +240,26 @@ func TestBenchCmd(t *testing.T) {
 		if bf.Experiment == "" || bf.Rows == nil {
 			t.Fatalf("%s: incomplete envelope %+v", name, bf)
 		}
+	}
+}
+
+// TestWriteBenchCreatesMissingOutdir is the regression test for the
+// -outdir fix: snapshots must land in a directory that does not exist
+// yet instead of failing at os.Create.
+func TestWriteBenchCreatesMissingOutdir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "nested", "deeper")
+	if err := writeBench(dir, "BENCH_test.json", "regression", []int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "BENCH_test.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bf benchFile
+	if err := json.Unmarshal(data, &bf); err != nil {
+		t.Fatal(err)
+	}
+	if bf.Experiment != "regression" || bf.Rows == nil {
+		t.Fatalf("envelope = %+v", bf)
 	}
 }

@@ -3,12 +3,10 @@
 // mesh, all channels' lockstep workloads interleave round-robin, and
 // each channel's user view is validated byte-for-byte against its
 // standalone in-memory sim run under {clean, lossy, crash-restart}
-// disturbances. A second table measures what multiplexing costs: a
-// tagless channel's per-message overhead solo vs sharing the mesh with
-// a tagged causal channel under equal open-loop load (compare the
-// throughput against E13's standalone numbers). -json writes
-// BENCH_mux.json, then re-reads and re-validates the file so a
-// truncated or diverging snapshot is an error, not an artifact.
+// disturbances; the tagless channel must pay zero overhead even though
+// tagged channels share its connections. -json writes BENCH_mux.json,
+// then re-reads and re-validates the file so a truncated or diverging
+// snapshot is an error, not an artifact.
 package main
 
 import (
@@ -56,23 +54,6 @@ func muxMatrixData(protos []conformance.NetProtocol, cfg conformance.NetMatrixCo
 	return conformance.MuxMatrix(cfg, protos)
 }
 
-// muxLoadData runs the overhead comparison: tagless measured against a
-// causal-rst companion.
-func muxLoadData(msgs int, seed int64) ([]conformance.MuxLoadRow, error) {
-	tl, ok := registry.ByName("tagless")
-	if !ok {
-		return nil, fmt.Errorf("catalog protocol tagless missing")
-	}
-	cr, ok := registry.ByName("causal-rst")
-	if !ok {
-		return nil, fmt.Errorf("catalog protocol causal-rst missing")
-	}
-	return conformance.MuxLoad(
-		conformance.LoadConfig{Msgs: msgs, Seed: seed},
-		conformance.NetProtocol{Name: tl.Name, Maker: tl.Maker, Colors: tl.Colors},
-		conformance.NetProtocol{Name: cr.Name, Maker: cr.Maker, Colors: cr.Colors})
-}
-
 // muxCellBad returns a non-empty reason when a matrix cell fails its
 // acceptance criteria; both the live run and the snapshot re-read
 // validate through it.
@@ -93,102 +74,58 @@ func muxCellBad(c conformance.MuxCell) string {
 	return ""
 }
 
-// muxLoadBad returns a non-empty reason when an overhead row fails:
-// zero throughput anywhere, or a tagless channel whose per-message
-// overhead changed because a tagged channel shared its connection.
-func muxLoadBad(r conformance.MuxLoadRow) string {
-	switch {
-	case r.MsgsPerSec <= 0 || r.Msgs <= 0:
-		return "zero throughput"
-	case r.Protocol == "tagless" && (r.TagBytesPerMsg != 0 || r.CtrlPerMsg != 0):
-		return fmt.Sprintf("tagless overhead changed under multiplexing: tags=%.1f ctrl=%.2f",
-			r.TagBytesPerMsg, r.CtrlPerMsg)
-	}
-	return ""
-}
-
-// muxBenchRows is the BENCH_mux.json payload: the conformance matrix
-// plus the overhead comparison.
-type muxBenchRows struct {
-	Matrix []conformance.MuxCell    `json:"matrix"`
-	Load   []conformance.MuxLoadRow `json:"load"`
-}
-
 // validateBenchMux re-reads a written BENCH_mux.json and fails unless
-// it parses and every matrix cell and load row passes — the mux-smoke
-// gate's whole check is this function's exit code.
+// it parses and every matrix cell passes — the mux-smoke gate's whole
+// check is this function's exit code.
 func validateBenchMux(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("re-reading %s: %w", path, err)
 	}
 	var f struct {
-		Experiment string       `json:"experiment"`
-		Rows       muxBenchRows `json:"rows"`
+		Experiment string                `json:"experiment"`
+		Rows       []conformance.MuxCell `json:"rows"`
 	}
 	if err := json.Unmarshal(b, &f); err != nil {
 		return fmt.Errorf("%s is not valid JSON: %w", path, err)
 	}
-	if f.Experiment == "" || len(f.Rows.Matrix) == 0 || len(f.Rows.Load) == 0 {
+	if f.Experiment == "" || len(f.Rows) == 0 {
 		return fmt.Errorf("%s has no rows", path)
 	}
-	for _, c := range f.Rows.Matrix {
+	for _, c := range f.Rows {
 		if bad := muxCellBad(c); bad != "" {
 			return fmt.Errorf("%s: %s/%s: %s", path, c.Protocol, c.Cell, bad)
-		}
-	}
-	for _, r := range f.Rows.Load {
-		if bad := muxLoadBad(r); bad != "" {
-			return fmt.Errorf("%s: %s/%s: %s", path, r.Runtime, r.Protocol, bad)
 		}
 	}
 	return nil
 }
 
 // benchMux writes and re-validates the BENCH_mux.json snapshot for
-// 'mobench bench' (the full catalog matrix plus the overhead rows).
+// 'mobench bench' (the full catalog matrix).
 func benchMux(outdir string) error {
-	protos, err := muxProtoList("")
-	if err != nil {
-		return err
-	}
-	cells, err := muxMatrixData(protos, conformance.NetMatrixConfig{Msgs: 16, Seed: 5})
-	if err != nil {
-		return err
-	}
-	loadRows, err := muxLoadData(2000, 5)
-	if err != nil {
-		return err
-	}
-	if err := writeBench(outdir, "BENCH_mux.json", "E17 multiplexed channels: conformance matrix + overhead",
-		muxBenchRows{Matrix: cells, Load: loadRows}); err != nil {
-		return err
-	}
-	return validateBenchMux(filepath.Join(outdir, "BENCH_mux.json"))
+	return muxCmd([]string{"-json", "-outdir", outdir})
 }
 
 // muxCmd runs E17:
 //
-//	mobench mux            # print the matrix + overhead tables
+//	mobench mux            # print the matrix table
 //	mobench mux -json      # write + re-validate BENCH_mux.json
 //	mobench mux -smoke     # 3 channels with distinct specs (the CI gate)
 func muxCmd(args []string) error {
 	fs := flag.NewFlagSet("mobench mux", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "write the BENCH_mux.json snapshot instead of tables")
-	outdir := fs.String("outdir", ".", "directory to write BENCH_mux.json into (and find the BENCH_load.json baseline)")
+	jsonOut := fs.Bool("json", false, "write the BENCH_mux.json snapshot instead of a table")
+	outdir := fs.String("outdir", ".", "directory to write BENCH_mux.json into")
 	msgs := fs.Int("msgs", 16, "lockstep workload length per channel")
 	procs := fs.Int("procs", 3, "mesh size")
 	seed := fs.Int64("seed", 5, "workload seed")
 	protos := fs.String("protos", "", "comma-separated channel protocol list (default: full catalog)")
-	loadMsgs := fs.Int("load-msgs", 2000, "open-loop workload length per channel in the overhead comparison (0 = skip)")
-	smoke := fs.Bool("smoke", false, "run the fast gate: tagless/fifo/causal-rst channels, no overhead rows")
+	smoke := fs.Bool("smoke", false, "run the fast gate: tagless/fifo/causal-rst channels")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	list := *protos
 	if *smoke {
 		list = "tagless,fifo,causal-rst"
-		*loadMsgs = 0
 		*msgs = 8
 	}
 	plist, err := muxProtoList(list)
@@ -206,20 +143,8 @@ func muxCmd(args []string) error {
 			return fmt.Errorf("%s/%s: %s", c.Protocol, c.Cell, bad)
 		}
 	}
-	var loadRows []conformance.MuxLoadRow
-	if *loadMsgs > 0 {
-		if loadRows, err = muxLoadData(*loadMsgs, *seed); err != nil {
-			return err
-		}
-		for _, r := range loadRows {
-			if bad := muxLoadBad(r); bad != "" {
-				return fmt.Errorf("%s/%s: %s", r.Runtime, r.Protocol, bad)
-			}
-		}
-	}
 	if *jsonOut {
-		if err := writeBench(*outdir, "BENCH_mux.json", "E17 multiplexed channels: conformance matrix + overhead",
-			muxBenchRows{Matrix: cells, Load: loadRows}); err != nil {
+		if err := writeBench(*outdir, "BENCH_mux.json", "E17 multiplexed channels: conformance matrix", cells); err != nil {
 			return err
 		}
 		return validateBenchMux(filepath.Join(*outdir, "BENCH_mux.json"))
@@ -233,29 +158,8 @@ func muxCmd(args []string) error {
 			c.Transport.Retransmits, c.UnknownDrops,
 			float64(c.MuxElapsed.Microseconds())/1000)
 	}
-	if len(loadRows) > 0 {
-		// loadBaseline (shard.go) keys rows "runtime/protocol"; the
-		// E13 comparison wants the standalone mesh number.
-		base := loadBaseline(*outdir)
-		fmt.Println()
-		fmt.Println("-- multiplexing overhead: tagless solo vs sharing the mesh with causal-rst --")
-		fmt.Printf("%-10s %-12s %-12s %10s %10s %8s %8s\n",
-			"runtime", "channel", "companion", "msgs/sec", "tagB/msg", "ctrl/msg", "vs E13")
-		for _, r := range loadRows {
-			companion, vs := "-", "-"
-			if r.Companion != "" {
-				companion = r.Companion
-			}
-			if b := base["mesh/"+r.Protocol]; b > 0 {
-				vs = fmt.Sprintf("%.2fx", r.MsgsPerSec/b)
-			}
-			fmt.Printf("%-10s %-12s %-12s %10.0f %10.1f %8.2f %8s\n",
-				r.Runtime, r.Protocol, companion, r.MsgsPerSec, r.TagBytesPerMsg, r.CtrlPerMsg, vs)
-		}
-	}
 	fmt.Println("expected shape: every cell matches — per-channel protocol instances make")
 	fmt.Println("multiplexing invisible in the view; the tagless channel's tagB/ctrl stay 0")
-	fmt.Println("even when a tagged channel shares its connections (only wall-clock shifts,")
-	fmt.Println("since shared runs split the same sockets between two channels' load).")
+	fmt.Println("even though tagged channels share its connections.")
 	return nil
 }

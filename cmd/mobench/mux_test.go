@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"msgorder/internal/conformance"
 )
 
 // TestMuxCmdSmoke runs the CI gate: three channels with distinct
@@ -20,15 +22,14 @@ func TestMuxCmdSmoke(t *testing.T) {
 }
 
 // TestMuxCmdJSON checks that -json writes a BENCH_mux.json that parses
-// with both payload sections populated and re-validates clean.
+// with every matrix cell present and re-validates clean.
 func TestMuxCmdJSON(t *testing.T) {
 	if testing.Short() {
-		t.Skip("socket matrix + open-loop load")
+		t.Skip("socket matrix")
 	}
 	dir := t.TempDir()
 	if err := muxCmd([]string{
-		"-json", "-outdir", dir, "-protos", "tagless,causal-rst",
-		"-msgs", "8", "-load-msgs", "200",
+		"-json", "-outdir", dir, "-protos", "tagless,causal-rst", "-msgs", "8",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -37,17 +38,14 @@ func TestMuxCmdJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var f struct {
-		Experiment string       `json:"experiment"`
-		Rows       muxBenchRows `json:"rows"`
+		Experiment string                `json:"experiment"`
+		Rows       []conformance.MuxCell `json:"rows"`
 	}
 	if err := json.Unmarshal(data, &f); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Rows.Matrix) != 6 {
-		t.Fatalf("matrix has %d cells, want 6 (2 channels x 3 cells)", len(f.Rows.Matrix))
-	}
-	if len(f.Rows.Load) != 3 {
-		t.Fatalf("load has %d rows, want 3 (solo + 2 shared)", len(f.Rows.Load))
+	if len(f.Rows) != 6 {
+		t.Fatalf("matrix has %d cells, want 6 (2 channels x 3 cells)", len(f.Rows))
 	}
 }
 
@@ -76,22 +74,19 @@ func TestValidateBenchMux(t *testing.T) {
 		t.Fatal("garbage validated")
 	}
 	if err := validateBenchMux(write("empty.json",
-		`{"experiment":"e","rows":{"matrix":[],"load":[]}}`)); err == nil {
+		`{"experiment":"e","rows":[]}`)); err == nil {
 		t.Fatal("empty rows validated")
 	}
 	if err := validateBenchMux(write("diverged.json",
-		`{"experiment":"e","rows":{"matrix":[{"Protocol":"fifo","Cell":"clean","Match":false}],
-		  "load":[{"runtime":"solo","protocol":"tagless","msgs":10,"msgs_per_sec":100}]}}`)); err == nil {
+		`{"experiment":"e","rows":[{"Protocol":"fifo","Cell":"clean","Match":false}]}`)); err == nil {
 		t.Fatal("diverged matrix cell validated")
 	}
 	if err := validateBenchMux(write("overhead.json",
-		`{"experiment":"e","rows":{"matrix":[{"Protocol":"fifo","Cell":"clean","Match":true}],
-		  "load":[{"runtime":"shared","protocol":"tagless","msgs":10,"msgs_per_sec":100,"tag_bytes_per_msg":4}]}}`)); err == nil {
+		`{"experiment":"e","rows":[{"Protocol":"tagless","Cell":"clean","Match":true,"Stats":{"UserTagBytes":4}}]}`)); err == nil {
 		t.Fatal("tagless overhead regression validated")
 	}
 	if err := validateBenchMux(write("good.json",
-		`{"experiment":"e","rows":{"matrix":[{"Protocol":"fifo","Cell":"clean","Match":true}],
-		  "load":[{"runtime":"solo","protocol":"tagless","msgs":10,"msgs_per_sec":100}]}}`)); err != nil {
+		`{"experiment":"e","rows":[{"Protocol":"fifo","Cell":"clean","Match":true}]}`)); err != nil {
 		t.Fatal(err)
 	}
 }

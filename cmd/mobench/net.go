@@ -11,7 +11,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"strings"
@@ -182,20 +181,6 @@ type modProc struct {
 	done   chan error
 }
 
-// freeNetPorts reserves n loopback addresses for the smoke mesh.
-func freeNetPorts(n int) ([]string, error) {
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs, nil
-}
-
 // spawnMod starts one mod daemon and waits for its ready line.
 func spawnMod(modbin string, id int, peers string) (*modProc, error) {
 	cmd := exec.Command(modbin,
@@ -261,7 +246,7 @@ func netSmoke(modbin string, msgCount int, seed int64) error {
 		return fmt.Errorf("sim reference: %w", err)
 	}
 
-	addrs, err := freeNetPorts(procs)
+	addrs, err := conformance.LoopbackAddrs(procs)
 	if err != nil {
 		return err
 	}

@@ -175,8 +175,8 @@ func writeBench(outdir, name, experiment string, rows any) error {
 
 // benchCmd regenerates the machine-readable benchmark snapshots at the
 // repo root (or -outdir): BENCH_explore.json, BENCH_faults.json,
-// BENCH_crashes.json, BENCH_net.json, BENCH_shard.json,
-// BENCH_obs.json, BENCH_churn.json and BENCH_mux.json.
+// BENCH_crashes.json, BENCH_net.json, BENCH_obs.json, BENCH_churn.json
+// and BENCH_mux.json.
 func benchCmd(args []string) error {
 	fs := flag.NewFlagSet("mobench bench", flag.ContinueOnError)
 	outdir := fs.String("outdir", ".", "directory to write BENCH_*.json into")
@@ -209,9 +209,6 @@ func benchCmd(args []string) error {
 		return err
 	}
 	if err := writeBench(*outdir, "BENCH_net.json", "E12 cross-runtime net matrix", netRows); err != nil {
-		return err
-	}
-	if err := benchShard(*outdir); err != nil {
 		return err
 	}
 	if err := benchObs(*outdir); err != nil {

@@ -30,19 +30,18 @@
 package conformance
 
 import (
+	"cmp"
 	"fmt"
-	"path/filepath"
+	"slices"
 	"time"
 
 	"msgorder/internal/check"
 	"msgorder/internal/crash"
 	"msgorder/internal/event"
 	"msgorder/internal/member"
-	"msgorder/internal/netmesh"
 	"msgorder/internal/predicate"
 	"msgorder/internal/protocol"
 	"msgorder/internal/transport"
-	"msgorder/internal/userview"
 )
 
 // ChurnProtocol names one protocol for the churn matrix.
@@ -83,15 +82,7 @@ type ChurnConfig struct {
 }
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
-	if c.Procs == 0 {
-		c.Procs = 3
-	}
-	if c.Msgs == 0 {
-		c.Msgs = 12
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.Procs, c.Msgs, c.Seed = cmp.Or(c.Procs, 3), cmp.Or(c.Msgs, 12), cmp.Or(c.Seed, 1)
 	if c.PerMsg <= 0 {
 		c.PerMsg = 10 * time.Second
 	}
@@ -162,12 +153,12 @@ func ChurnMatrix(cfg ChurnConfig, protos []ChurnProtocol) ([]ChurnCell, error) {
 		envs = ChurnEnvs()
 	}
 	for _, op := range ops {
-		if !churnKnown(ChurnOps(), op) {
+		if !slices.Contains(ChurnOps(), op) {
 			return nil, fmt.Errorf("churn: unknown op %q", op)
 		}
 	}
 	for _, env := range envs {
-		if !churnKnown(ChurnEnvs(), env) {
+		if !slices.Contains(ChurnEnvs(), env) {
 			return nil, fmt.Errorf("churn: unknown env %q", env)
 		}
 	}
@@ -194,12 +185,8 @@ func churnInjector(env string, procs int, seed int64) *transport.Injector {
 		// Two geo zones — the observer alone vs everyone else — with
 		// cross-zone delay and drop, plus one slow link to the churned
 		// process: the mobile on a degraded last hop.
-		far := make([]event.ProcID, 0, procs-1)
-		for p := 1; p < procs; p++ {
-			far = append(far, event.ProcID(p))
-		}
 		return transport.NewInjector(transport.FaultPlan{
-			Zones:          [][]event.ProcID{{0}, far},
+			Zones:          [][]event.ProcID{{0}, allProcs(procs)[1:]},
 			CrossZoneDelay: 0.25,
 			CrossZoneDrop:  0.1,
 			SlowLinks:      []transport.SlowLink{{A: 0, B: event.ProcID(procs - 1), DelayProb: 0.3}},
@@ -217,7 +204,7 @@ func churnInjector(env string, procs int, seed int64) *transport.Injector {
 
 // runChurnCell executes one (protocol, op, env) cell.
 func runChurnCell(p ChurnProtocol, cfg ChurnConfig, op, env string) (ChurnCell, error) {
-	msgs := netWorkload(NetMatrixConfig{Procs: cfg.Procs, Msgs: cfg.Msgs, Seed: cfg.Seed}, p.Colors)
+	msgs := NetWorkload(NetMatrixConfig{Procs: cfg.Procs, Msgs: cfg.Msgs, Seed: cfg.Seed}, p.Colors)
 	mid := len(msgs) / 2
 	churned := event.ProcID(cfg.Procs - 1)
 	// Leave/evict cells end at the view change; join/handoff refill the
@@ -231,114 +218,66 @@ func runChurnCell(p ChurnProtocol, cfg ChurnConfig, op, env string) (ChurnCell, 
 		return ChurnCell{}, err
 	}
 
-	addrs, err := meshPorts(cfg.Procs)
-	if err != nil {
-		return ChurnCell{}, err
-	}
-	inj := churnInjector(env, cfg.Procs, cfg.Seed)
-	fp := netmesh.Fingerprint(p.Name, "churn", cfg.Procs)
-	walPath := func(i int, gen string) string {
-		return filepath.Join(cfg.WALDir, fmt.Sprintf("churn-%s-%s-%s-p%d%s.wal", p.Name, op, env, i, gen))
-	}
-
 	var det *crash.Detector
 	var evictor *member.Evictor
 	tracker := member.NewTracker(cfg.Procs, allProcs(cfg.Procs))
+	s := cellSpec{
+		name: p.Name + "/" + op + "/" + env, procs: cfg.Procs, seed: cfg.Seed, maker: p.Maker,
+		wait: cfg.PerMsg, inj: churnInjector(env, cfg.Procs, cfg.Seed),
+		snapshotEvery: 6, walDir: cfg.WALDir,
+	}
 	if op == "evict" {
 		det = crash.NewDetector(cfg.Procs, crash.DetectorConfig{Interval: cfg.Beat}, nil)
 		defer det.Close()
 		evictor = member.NewEvictor(tracker, det, member.EvictorConfig{})
 		defer evictor.Close()
+		s.beat, s.detector = cfg.Beat, det
 	}
-
-	nodeConfig := func(i int, gen string) netmesh.NodeConfig {
-		ncfg := netmesh.NodeConfig{
-			Self:  event.ProcID(i),
-			Procs: cfg.Procs,
-			Maker: p.Maker,
-			Mesh: netmesh.MeshConfig{
-				Addrs: addrs, Fingerprint: fp,
-				Seed: cfg.Seed + int64(i), Injector: inj,
-			},
-			Transport:     transport.Config{RTO: 2 * time.Millisecond, MaxRTO: 30 * time.Millisecond},
-			WALPath:       walPath(i, gen),
-			SnapshotEvery: 6,
-		}
-		if op == "evict" {
-			ncfg.Heartbeat = netmesh.HeartbeatConfig{Interval: cfg.Beat}
-			if i == 0 {
-				ncfg.Heartbeat.Detector = det
-			}
-		}
-		return ncfg
+	c, err := newCluster(s)
+	if err != nil {
+		return ChurnCell{}, err
 	}
-	nodes := make([]*netmesh.Node, cfg.Procs)
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				n.Close()
-			}
-		}
-	}()
-	for i := range nodes {
-		n, err := netmesh.NewNode(nodeConfig(i, ""))
-		if err != nil {
-			return ChurnCell{}, fmt.Errorf("node %d: %w", i, err)
-		}
-		nodes[i] = n
-	}
+	defer c.close()
 
 	start := time.Now()
-	want := make([]int, cfg.Procs)
-	step := func(m event.Message) error {
-		if err := nodes[m.From].Invoke(m); err != nil {
-			return fmt.Errorf("invoke m%d: %w", m.ID, err)
+	ws := [][]event.Message{msgs}
+	err = c.drive(ws, 0, mid, func(r int) error {
+		if r != mid/2 {
+			return nil
 		}
-		want[m.To]++
-		if err := nodes[m.To].WaitDeliveries(want[m.To], cfg.PerMsg); err != nil {
-			return fmt.Errorf("m%d: %w", m.ID, err)
+		switch {
+		case env == "crash-restart":
+			// A survivor crash-restarts before the churn: recovery
+			// and membership transfer must compose.
+			return c.nodes[1].Crash(10 * time.Millisecond)
+		case env == "asym-partition" && op != "evict":
+			// Transient one-way cut between survivors; the budget
+			// heals it and retransmission masks it.
+			s.inj.CutOneWay([]event.ProcID{0}, []event.ProcID{1}, 64)
 		}
 		return nil
-	}
-	for i := 0; i < mid; i++ {
-		if i == mid/2 {
-			switch {
-			case env == "crash-restart":
-				// A survivor crash-restarts before the churn: recovery
-				// and membership transfer must compose.
-				if err := nodes[1].Crash(10 * time.Millisecond); err != nil {
-					return ChurnCell{}, err
-				}
-			case env == "asym-partition" && op != "evict":
-				// Transient one-way cut between survivors; the budget
-				// heals it and retransmission masks it.
-				inj.CutOneWay([]event.ProcID{0}, []event.ProcID{1}, 64)
-			}
-		}
-		if err := step(msgs[i]); err != nil {
-			return ChurnCell{}, err
-		}
+	})
+	if err != nil {
+		return ChurnCell{}, err
 	}
 
 	// The churn point: every pre-churn message is delivered.
-	churnedEvents := nodes[churned].Events()
+	churnedEvents := c.nodes[churned].Events()
 	var transferred *member.Checkpoint
 	switch op {
 	case "leave":
 		if _, err := tracker.Leave(churned); err != nil {
 			return ChurnCell{}, err
 		}
-		nodes[churned].Close()
-		nodes[churned] = nil
+		c.stop(int(churned))
 	case "evict":
 		if env == "asym-partition" {
 			// The churned process stays alive but its outbound traffic
 			// — heartbeats included — is swallowed by a permanent
 			// one-way cut: the silent mobile.
-			inj.CutOneWay([]event.ProcID{churned}, allProcs(cfg.Procs-1), -1)
+			s.inj.CutOneWay([]event.ProcID{churned}, allProcs(cfg.Procs-1), -1)
 		} else {
-			nodes[churned].Close()
-			nodes[churned] = nil
+			c.stop(int(churned))
 		}
 		deadline := time.Now().Add(cfg.Detect)
 		for {
@@ -364,9 +303,8 @@ func runChurnCell(p ChurnProtocol, cfg ChurnConfig, op, env string) (ChurnCell, 
 				return ChurnCell{}, err
 			}
 		}
-		nodes[churned].Close()
-		nodes[churned] = nil
-		w, err := crash.OpenFileWAL(walPath(int(churned), ""))
+		c.stop(int(churned))
+		w, err := crash.OpenFileWAL(c.walPath(int(churned), ""))
 		if err != nil {
 			return ChurnCell{}, fmt.Errorf("reopen departed WAL: %w", err)
 		}
@@ -387,15 +325,12 @@ func runChurnCell(p ChurnProtocol, cfg ChurnConfig, op, env string) (ChurnCell, 
 				return ChurnCell{}, fmt.Errorf("suffix projection diverges at %d: %v != %v", i, proj[i], tail[i])
 			}
 		}
-		if err := ck.Materialize(walPath(int(churned), "-next")); err != nil {
+		if err := ck.Materialize(c.walPath(int(churned), "-next")); err != nil {
 			return ChurnCell{}, fmt.Errorf("materialize transfer: %w", err)
 		}
-		n, err := netmesh.NewNode(nodeConfig(int(churned), "-next"))
-		if err != nil {
+		if err := c.boot(int(churned), "-next"); err != nil {
 			return ChurnCell{}, fmt.Errorf("joiner boot: %w", err)
 		}
-		nodes[churned] = n
-		want[churned] = 0 // the successor's delivery count restarts
 		if op == "join" {
 			if _, err := tracker.Join(churned); err != nil {
 				return ChurnCell{}, err
@@ -404,67 +339,41 @@ func runChurnCell(p ChurnProtocol, cfg ChurnConfig, op, env string) (ChurnCell, 
 				return ChurnCell{}, fmt.Errorf("pre-churn epoch still accepted after join")
 			}
 		}
-		for i := mid; i < len(msgs); i++ {
-			if err := step(msgs[i]); err != nil {
-				return ChurnCell{}, err
-			}
+		if err := c.drive(ws, mid, len(msgs), nil); err != nil {
+			return ChurnCell{}, err
 		}
 	default:
 		return ChurnCell{}, fmt.Errorf("unknown churn op %q", op)
 	}
 	elapsed := time.Since(start)
 
+	t, err := c.collect(0, simMsgs, func(procEvents [][]event.Event) {
+		// The departed incarnation's events, captured before its close;
+		// for join/handoff the successor's events splice on after.
+		if c.nodes[churned] == nil || transferred != nil {
+			pre := churnedEvents[:len(churnedEvents):len(churnedEvents)]
+			procEvents[churned] = append(pre, procEvents[churned]...)
+		}
+	})
+	if err != nil {
+		return ChurnCell{}, err
+	}
 	cell := ChurnCell{
 		Protocol: p.Name, Op: op, Env: env,
-		Epoch: tracker.Epoch(), Msgs: len(simMsgs),
+		Epoch: tracker.Epoch(), Msgs: len(simMsgs), Stats: t.stats,
+		SimKey: simView.Key(), MeshKey: t.view.Key(),
 		SimElapsed: simElapsed, MeshElapsed: elapsed,
 	}
+	cell.Match = cell.SimKey == cell.MeshKey
 	if evictor != nil {
 		for _, q := range evictor.Evicted() {
 			cell.Evicted = append(cell.Evicted, int(q))
 		}
 	}
-	procEvents := make([][]event.Event, cfg.Procs)
-	for i, n := range nodes {
-		if n == nil {
-			continue
-		}
-		if err := n.Err(); err != nil {
-			return ChurnCell{}, fmt.Errorf("P%d: %w", i, err)
-		}
-		procEvents[i] = n.Events()
-		cell.Stats.Add(n.Stats())
-	}
-	if nodes[churned] == nil || transferred != nil {
-		// The departed incarnation's events, captured before its close;
-		// for join/handoff the successor's events splice on after.
-		pre := churnedEvents
-		if nodes[churned] != nil {
-			pre = append(pre[:len(pre):len(pre)], nodes[churned].Events()...)
-		}
-		procEvents[churned] = pre
-	}
-	meshView, err := userview.New(simMsgs, procEvents)
-	if err != nil {
-		return ChurnCell{}, fmt.Errorf("mesh run invalid: %w", err)
-	}
-	cell.SimKey = simView.Key()
-	cell.MeshKey = meshView.Key()
-	cell.Match = cell.SimKey == cell.MeshKey
 	if p.Pred != nil {
-		_, cell.SpecViolation = check.FindViolation(meshView, p.Pred)
+		_, cell.SpecViolation = check.FindViolation(t.view, p.Pred)
 	}
 	return cell, nil
-}
-
-// churnKnown reports whether name is one of the canonical values.
-func churnKnown(canon []string, name string) bool {
-	for _, c := range canon {
-		if c == name {
-			return true
-		}
-	}
-	return false
 }
 
 // allProcs returns [0, n).

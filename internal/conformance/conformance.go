@@ -398,43 +398,25 @@ func CrashMatrix(cfg Config, plans []crash.Plan, seeds int, pred *predicate.Pred
 }
 
 // ExhaustiveConfig describes one exhaustive-exploration check: a fixed
-// workload replayed under every network arrival order (see dsim.Explore).
-// Unlike the seed sweeps above, a pass is a proof for the workload, not a
-// sample of it.
-type ExhaustiveConfig struct {
-	// Maker builds the protocol under test.
-	Maker protocol.Maker
-	// Procs is the number of processes (≥ 2).
-	Procs int
-	// Requests is the fixed workload, invoked eagerly in order.
-	Requests []dsim.Request
-	// MakeHook, when set, builds a fresh delivery hook per replay
-	// (deterministic chained workloads).
-	MakeHook func() func(event.ProcID, event.MsgID) []dsim.Request
-	// MaxRuns bounds the number of complete schedules visited (dsim's
-	// default when zero). Hitting the bound is reported as an error:
-	// the check was a sample, not a proof.
-	MaxRuns int
-	// Workers selects the search mode: 0 = parallel deduplicating
-	// search, 1 = legacy sequential enumeration (see dsim package docs).
-	Workers int
-	// Tracer and Metrics, when non-nil, receive the search's expansion
-	// records and depth/fanout distributions (see dsim.ExploreConfig).
-	Tracer  obs.Tracer
-	Metrics *obs.Registry
-}
+// workload replayed under every network arrival order (see
+// dsim.Explore). Unlike the seed sweeps above, a pass is a proof for
+// the workload, not a sample of it. Hitting MaxRuns is reported as an
+// error: the check was a sample, not a proof.
+type ExhaustiveConfig = dsim.ExploreConfig
 
-func (c ExhaustiveConfig) explore() dsim.ExploreConfig {
-	return dsim.ExploreConfig{
-		Procs:    c.Procs,
-		Maker:    c.Maker,
-		Requests: c.Requests,
-		MakeHook: c.MakeHook,
-		MaxRuns:  c.MaxRuns,
-		Workers:  c.Workers,
-		Tracer:   c.Tracer,
-		Metrics:  c.Metrics,
-	}
+// firstViolatingSchedule explores arrival orders until one violates
+// the predicate, returning it (nil when none does) and the search
+// stats.
+func firstViolatingSchedule(cfg ExhaustiveConfig, pred *predicate.Predicate) (dsim.ExploreStats, *Violation, error) {
+	var bad *Violation
+	st, err := dsim.ExploreWithStats(cfg, func(res *dsim.Result) bool {
+		if m, found := check.FindViolation(res.View, pred); found {
+			bad = &Violation{Match: m, View: res.View}
+			return false
+		}
+		return true
+	})
+	return st, bad, err
 }
 
 // AlwaysSatisfiesAllSchedules explores every arrival order of the
@@ -442,41 +424,20 @@ func (c ExhaustiveConfig) explore() dsim.ExploreConfig {
 // if any. A nil error with the returned stats is a proof that no schedule
 // of this workload violates the predicate.
 func AlwaysSatisfiesAllSchedules(cfg ExhaustiveConfig, pred *predicate.Predicate) (dsim.ExploreStats, error) {
-	var bad *Violation
-	st, err := dsim.ExploreWithStats(cfg.explore(), func(res *dsim.Result) bool {
-		if m, found := check.FindViolation(res.View, pred); found {
-			bad = &Violation{Match: m, View: res.View}
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return st, err
+	st, bad, err := firstViolatingSchedule(cfg, pred)
+	if err == nil && bad != nil {
+		err = fmt.Errorf("a schedule violates the specification with %s", bad.Match.String(pred))
 	}
-	if bad != nil {
-		return st, fmt.Errorf("a schedule violates the specification with %s",
-			bad.Match.String(pred))
-	}
-	return st, nil
+	return st, err
 }
 
 // FindsViolationInSomeSchedule explores arrival orders until one violates
 // the predicate. The Violation's Seed is meaningless here (exploration is
 // schedule-driven, not seed-driven) and is left zero.
 func FindsViolationInSomeSchedule(cfg ExhaustiveConfig, pred *predicate.Predicate) (Violation, bool, error) {
-	var bad *Violation
-	_, err := dsim.ExploreWithStats(cfg.explore(), func(res *dsim.Result) bool {
-		if m, found := check.FindViolation(res.View, pred); found {
-			bad = &Violation{Match: m, View: res.View}
-			return false
-		}
-		return true
-	})
-	if err != nil {
+	_, bad, err := firstViolatingSchedule(cfg, pred)
+	if err != nil || bad == nil {
 		return Violation{}, false, err
-	}
-	if bad == nil {
-		return Violation{}, false, nil
 	}
 	return *bad, true, nil
 }

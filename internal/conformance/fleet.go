@@ -12,6 +12,7 @@
 package conformance
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
@@ -20,11 +21,8 @@ import (
 
 	"msgorder/internal/event"
 	"msgorder/internal/fleetobs"
-	"msgorder/internal/netmesh"
 	"msgorder/internal/obs"
 	"msgorder/internal/shard"
-	"msgorder/internal/transport"
-	"msgorder/internal/userview"
 )
 
 // FleetTraceConfig shapes one fleet-traced mesh run.
@@ -46,20 +44,10 @@ type FleetTraceConfig struct {
 }
 
 func (c FleetTraceConfig) withDefaults() FleetTraceConfig {
-	if c.Procs == 0 {
-		c.Procs = 3
-	}
-	if c.Msgs == 0 {
-		c.Msgs = 200
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.Procs, c.Msgs, c.Seed = cmp.Or(c.Procs, 3), cmp.Or(c.Msgs, 200), cmp.Or(c.Seed, 1)
+	c.TopK = cmp.Or(c.TopK, 5)
 	if c.Timeout <= 0 {
 		c.Timeout = 60 * time.Second
-	}
-	if c.TopK == 0 {
-		c.TopK = 5
 	}
 	return c
 }
@@ -95,121 +83,74 @@ type FleetTraceResult struct {
 // zero orphaned receives and every invoked message was delivered.
 func RunFleetTraced(p NetProtocol, cfg FleetTraceConfig) (FleetTraceResult, error) {
 	cfg = cfg.withDefaults()
-	maker := p.Maker
-	var msgs []event.Message
-	if cfg.Keys > 0 {
-		maker = shard.New(p.Maker)
-		msgs = ShardWorkload(NetMatrixConfig{Procs: cfg.Procs, Msgs: cfg.Msgs, Seed: cfg.Seed}, p.Colors, cfg.Keys)
-	} else {
-		msgs = LoadWorkload(LoadConfig{Procs: cfg.Procs, Msgs: cfg.Msgs, Seed: cfg.Seed}, p.Colors)
+	wcfg := NetMatrixConfig{Procs: cfg.Procs, Msgs: cfg.Msgs, Seed: cfg.Seed}
+	s := cellSpec{
+		name: "fleettrace " + p.Name, procs: cfg.Procs, seed: cfg.Seed, maker: p.Maker,
+		openLoop: true, wait: cfg.Timeout, tracer: obs.NewCollector,
 	}
-	addrs, err := meshPorts(cfg.Procs)
+	msgs := NetWorkload(wcfg, p.Colors)
+	if cfg.Keys > 0 {
+		s.name, s.maker = "fleettrace sharded-"+p.Name, shard.New(p.Maker)
+		msgs = ShardWorkload(wcfg, p.Colors, cfg.Keys)
+	}
+	c, err := newCluster(s)
 	if err != nil {
 		return FleetTraceResult{}, err
 	}
-	fpName := p.Name
-	if cfg.Keys > 0 {
-		fpName = "sharded-" + p.Name
-	}
-	fp := netmesh.Fingerprint(fpName, "fleettrace", cfg.Procs)
-
-	nodes := make([]*netmesh.Node, cfg.Procs)
-	servers := make([]*http.Server, cfg.Procs)
+	defer c.close()
 	urls := make([]string, cfg.Procs)
-	defer func() {
-		for _, s := range servers {
-			if s != nil {
-				s.Close()
-			}
-		}
-		for _, n := range nodes {
-			if n != nil {
-				n.Close()
-			}
-		}
-	}()
-	for i := range nodes {
-		collector := obs.NewCollector()
-		metrics := obs.NewRegistry()
-		n, err := netmesh.NewNode(netmesh.NodeConfig{
-			Self:  event.ProcID(i),
-			Procs: cfg.Procs,
-			Maker: maker,
-			Mesh: netmesh.MeshConfig{
-				Addrs: addrs, Fingerprint: fp, Seed: cfg.Seed + int64(i),
-			},
-			Transport: transport.Config{RTO: 250 * time.Millisecond, MaxRTO: 2 * time.Second},
-			Tracer:    collector,
-			Metrics:   metrics,
-		})
-		if err != nil {
-			return FleetTraceResult{}, fmt.Errorf("fleettrace %s: node %d: %w", p.Name, i, err)
-		}
-		nodes[i] = n
+	for i := range urls {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return FleetTraceResult{}, fmt.Errorf("fleettrace %s: obs listener: %w", p.Name, err)
 		}
-		srv := &http.Server{Handler: fleetobs.Mux(metrics, collector)}
+		srv := &http.Server{Handler: fleetobs.Mux(c.metrics[i], c.traces[i])}
 		go srv.Serve(ln)
-		servers[i] = srv
+		defer srv.Close()
 		urls[i] = "http://" + ln.Addr().String()
 	}
 
 	fleet := fleetobs.NewFleet(urls)
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
+	polls := 0
+	scrape := func(what string) error {
+		polls++
+		if _, _, err := fleet.Poll(ctx); err != nil {
+			return fmt.Errorf("fleettrace %s: %s scrape: %w", p.Name, what, err)
+		}
+		return nil
+	}
 
 	start := time.Now()
-	want := make([]int, cfg.Procs)
-	polls := 0
-	for i, m := range msgs {
-		if err := nodes[m.From].Invoke(m); err != nil {
-			return FleetTraceResult{}, fmt.Errorf("fleettrace %s: invoke m%d: %w", p.Name, m.ID, err)
-		}
-		want[m.To]++
+	err = c.drive([][]event.Message{msgs}, 0, len(msgs), func(r int) error {
 		// Scrape mid-run a few times so the incremental cursors are
 		// exercised against live daemons, not just the quiesced state.
-		if i%(len(msgs)/3+1) == len(msgs)/3 {
-			if _, _, err := fleet.Poll(ctx); err != nil {
-				return FleetTraceResult{}, fmt.Errorf("fleettrace %s: live scrape: %w", p.Name, err)
-			}
-			polls++
+		if r%(len(msgs)/3+1) != len(msgs)/3 {
+			return nil
 		}
-	}
-	for i, n := range nodes {
-		if err := n.WaitDeliveries(want[i], cfg.Timeout); err != nil {
-			return FleetTraceResult{}, fmt.Errorf("fleettrace %s: %w", p.Name, err)
-		}
+		return scrape("live")
+	})
+	if err != nil {
+		return FleetTraceResult{}, err
 	}
 	elapsed := time.Since(start)
-
-	procEvents := make([][]event.Event, cfg.Procs)
-	for i, n := range nodes {
-		if err := n.Err(); err != nil {
-			return FleetTraceResult{}, fmt.Errorf("fleettrace %s: P%d: %w", p.Name, i, err)
-		}
-		procEvents[i] = n.Events()
+	if _, err := c.collect(0, msgs, nil); err != nil {
+		return FleetTraceResult{}, err
 	}
-	if _, err := userview.New(msgs, procEvents); err != nil {
-		return FleetTraceResult{}, fmt.Errorf("fleettrace %s: run invalid: %w", p.Name, err)
-	}
-
 	// Final scrape picks up everything after the last mid-run cursor.
-	if _, _, err := fleet.Poll(ctx); err != nil {
-		return FleetTraceResult{}, fmt.Errorf("fleettrace %s: final scrape: %w", p.Name, err)
+	if err := scrape("final"); err != nil {
+		return FleetTraceResult{}, err
 	}
-	polls++
 
 	tl := fleet.Timeline()
-	out := FleetTraceResult{
+	return FleetTraceResult{
 		Protocol: p.Name, Msgs: len(msgs), Procs: cfg.Procs,
-		Events:    len(tl.Events),
-		Check:     tl.Validate(true),
-		Polls:     polls,
-		ElapsedMs: float64(elapsed.Microseconds()) / 1000,
-	}
-	out.Attribution = fleetobs.Summarize(fleetobs.Attribute(tl))
-	out.Skew = fleetobs.Skew(tl, cfg.TopK)
-	return out, nil
+		Events:      len(tl.Events),
+		Check:       tl.Validate(true),
+		Attribution: fleetobs.Summarize(fleetobs.Attribute(tl)),
+		Skew:        fleetobs.Skew(tl, cfg.TopK),
+		Polls:       polls,
+		ElapsedMs:   float64(elapsed.Microseconds()) / 1000,
+	}, nil
 }

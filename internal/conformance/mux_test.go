@@ -65,40 +65,6 @@ func TestMuxMatrixAllProtocolsAllCells(t *testing.T) {
 	}
 }
 
-// TestMuxLoadTaglessOverheadInvariant is the multiplexing-overhead
-// acceptance check: a tagless channel's per-message cost must be
-// identical — zero tag bytes, zero control messages — whether it is
-// the mux mesh's only channel or shares the connections with a tagged
-// causal channel under equal load.
-func TestMuxLoadTaglessOverheadInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("open-loop socket load")
-	}
-	tl, _ := registry.ByName("tagless")
-	cr, _ := registry.ByName("causal-rst")
-	rows, err := MuxLoad(LoadConfig{Msgs: 400, Seed: 7},
-		NetProtocol{Name: tl.Name, Maker: tl.Maker, Colors: tl.Colors},
-		NetProtocol{Name: cr.Name, Maker: cr.Maker, Colors: cr.Colors})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3 (solo + 2 shared)", len(rows))
-	}
-	for _, r := range rows {
-		if r.MsgsPerSec <= 0 {
-			t.Fatalf("%s/%s: zero throughput", r.Runtime, r.Protocol)
-		}
-		if r.Protocol == "tagless" && (r.TagBytesPerMsg != 0 || r.CtrlPerMsg != 0) {
-			t.Fatalf("%s tagless overhead changed: tags=%.1f ctrl=%.2f",
-				r.Runtime, r.TagBytesPerMsg, r.CtrlPerMsg)
-		}
-		if r.Protocol == "causal-rst" && r.TagBytesPerMsg == 0 {
-			t.Fatalf("shared causal channel reports no tags — stats misattributed")
-		}
-	}
-}
-
 // TestMuxMatrixDefaults exercises the zero-value config path on a
 // two-channel pairing (one tagless, one tagged).
 func TestMuxMatrixDefaults(t *testing.T) {

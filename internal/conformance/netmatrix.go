@@ -14,9 +14,8 @@
 package conformance
 
 import (
+	"cmp"
 	"fmt"
-	"net"
-	"path/filepath"
 	"time"
 
 	"msgorder/internal/event"
@@ -52,15 +51,7 @@ type NetMatrixConfig struct {
 }
 
 func (c NetMatrixConfig) withDefaults() NetMatrixConfig {
-	if c.Procs == 0 {
-		c.Procs = 3
-	}
-	if c.Msgs == 0 {
-		c.Msgs = 16
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.Procs, c.Msgs, c.Seed = cmp.Or(c.Procs, 3), cmp.Or(c.Msgs, 16), cmp.Or(c.Seed, 1)
 	if c.PerMsg <= 0 {
 		c.PerMsg = 10 * time.Second
 	}
@@ -93,19 +84,7 @@ type NetCell struct {
 // drivers (mobench's net smoke over real OS processes) run the
 // identical workload the in-process matrix runs.
 func NetWorkload(cfg NetMatrixConfig, colors []event.Color) []event.Message {
-	return netWorkload(cfg.withDefaults(), colors)
-}
-
-// SimLockstep runs the message list on the in-memory sim in lockstep
-// and returns the reference user view external drivers diff against.
-func SimLockstep(maker protocol.Maker, procs int, seed int64, msgs []event.Message) (*userview.Run, error) {
-	v, _, err := runSimLockstep(maker, procs, seed, msgs)
-	return v, err
-}
-
-// netWorkload derives the lockstep message list from the same seeded
-// stream the other conformance matrices use.
-func netWorkload(cfg NetMatrixConfig, colors []event.Color) []event.Message {
+	cfg = cfg.withDefaults()
 	w := newWorkload(Config{Procs: cfg.Procs, InitialMsgs: cfg.Msgs, Seed: cfg.Seed, Colors: colors}.withDefaults())
 	msgs := make([]event.Message, cfg.Msgs)
 	for i := range msgs {
@@ -113,6 +92,13 @@ func netWorkload(cfg NetMatrixConfig, colors []event.Color) []event.Message {
 		msgs[i] = event.Message{ID: event.MsgID(i), From: from, To: to, Color: color}
 	}
 	return msgs
+}
+
+// SimLockstep runs the message list on the in-memory sim in lockstep
+// and returns the reference user view external drivers diff against.
+func SimLockstep(maker protocol.Maker, procs int, seed int64, msgs []event.Message) (*userview.Run, error) {
+	v, _, err := runSimLockstep(maker, procs, seed, msgs)
+	return v, err
 }
 
 // runSimLockstep executes the message list on the in-memory live
@@ -139,115 +125,6 @@ func runSimLockstep(maker protocol.Maker, procs int, seed int64, msgs []event.Me
 	return res.View, elapsed, nil
 }
 
-// meshPorts reserves n distinct loopback addresses. Every listener
-// stays open until the whole set is picked: released one at a time, the
-// kernel hands the same port out twice about once in 4 000 three-port
-// sets, and the second node to bind it fails with "address already in
-// use".
-func meshPorts(n int) ([]string, error) {
-	addrs := make([]string, n)
-	lns := make([]net.Listener, 0, n)
-	defer func() {
-		for _, ln := range lns {
-			ln.Close()
-		}
-	}()
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		lns = append(lns, ln)
-		addrs[i] = ln.Addr().String()
-	}
-	return addrs, nil
-}
-
-// runMeshLockstep executes the message list on an in-process loopback
-// TCP mesh — real sockets, real frames — under the named disturbance.
-func runMeshLockstep(p NetProtocol, cfg NetMatrixConfig, cell string, msgs []event.Message) (*userview.Run, *NetCell, error) {
-	addrs, err := meshPorts(cfg.Procs)
-	if err != nil {
-		return nil, nil, err
-	}
-	var inj *transport.Injector
-	if cell == "lossy" {
-		inj = transport.NewInjector(transport.FaultPlan{
-			DropRate: 0.2, DupRate: 0.1, Seed: cfg.Seed*0x9e3779b9 + 101,
-		})
-	}
-	fp := netmesh.Fingerprint(p.Name, "netmatrix", cfg.Procs)
-	nodes := make([]*netmesh.Node, cfg.Procs)
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				n.Close()
-			}
-		}
-	}()
-	for i := range nodes {
-		ncfg := netmesh.NodeConfig{
-			Self:  event.ProcID(i),
-			Procs: cfg.Procs,
-			Maker: p.Maker,
-			Mesh: netmesh.MeshConfig{
-				Addrs: addrs, Fingerprint: fp,
-				Seed: cfg.Seed + int64(i), Injector: inj,
-			},
-			Transport: transport.Config{RTO: 2 * time.Millisecond, MaxRTO: 30 * time.Millisecond},
-		}
-		if cell == "crash-restart" {
-			ncfg.SnapshotEvery = 8
-			if cfg.WALDir != "" {
-				ncfg.WALPath = filepath.Join(cfg.WALDir, fmt.Sprintf("%s-p%d.wal", p.Name, i))
-			}
-		}
-		n, err := netmesh.NewNode(ncfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s/%s: node %d: %w", p.Name, cell, i, err)
-		}
-		nodes[i] = n
-	}
-
-	start := time.Now()
-	want := make([]int, cfg.Procs)
-	for i, m := range msgs {
-		// The crash cell restarts a worker halfway through: recovery
-		// must be invisible in the final view. P0 is the sync
-		// protocols' coordinator, so the crash targets P1.
-		if cell == "crash-restart" && i == len(msgs)/2 {
-			if err := nodes[1].Crash(10 * time.Millisecond); err != nil {
-				return nil, nil, err
-			}
-		}
-		if err := nodes[m.From].Invoke(m); err != nil {
-			return nil, nil, fmt.Errorf("%s/%s: invoke m%d: %w", p.Name, cell, m.ID, err)
-		}
-		want[m.To]++
-		if err := nodes[m.To].WaitDeliveries(want[m.To], cfg.PerMsg); err != nil {
-			return nil, nil, fmt.Errorf("%s/%s: %w", p.Name, cell, err)
-		}
-	}
-	elapsed := time.Since(start)
-
-	out := &NetCell{Protocol: p.Name, Cell: cell, MeshElapsed: elapsed}
-	procEvents := make([][]event.Event, cfg.Procs)
-	for i, n := range nodes {
-		if err := n.Err(); err != nil {
-			return nil, nil, fmt.Errorf("%s/%s: P%d: %w", p.Name, cell, i, err)
-		}
-		procEvents[i] = n.Events()
-		out.Stats.Add(n.Stats())
-		out.Transport.Add(n.TransportCounters())
-		out.Mesh.Add(n.MeshCounters())
-	}
-	v, err := userview.New(msgs, procEvents)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s/%s: mesh run invalid: %w", p.Name, cell, err)
-	}
-	return v, out, nil
-}
-
 // NetMatrixCells lists the mesh-side disturbances every protocol is
 // swept across.
 func NetMatrixCells() []string { return []string{"clean", "lossy", "crash-restart"} }
@@ -261,22 +138,24 @@ func NetMatrix(cfg NetMatrixConfig, protos []NetProtocol) ([]NetCell, error) {
 	cfg = cfg.withDefaults()
 	var cells []NetCell
 	for _, p := range protos {
-		msgs := netWorkload(cfg, p.Colors)
+		msgs := NetWorkload(cfg, p.Colors)
 		simView, simElapsed, err := runSimLockstep(p.Maker, cfg.Procs, cfg.Seed, msgs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		simKey := simView.Key()
 		for _, cell := range NetMatrixCells() {
-			meshView, out, err := runMeshLockstep(p, cfg, cell, msgs)
+			o, err := runMatrixCell(cfg, cellSpec{name: p.Name + "/" + cell, maker: p.Maker}, cell, [][]event.Message{msgs})
 			if err != nil {
 				return nil, err
 			}
-			out.SimKey = simKey
-			out.MeshKey = meshView.Key()
-			out.Match = out.SimKey == out.MeshKey
-			out.SimElapsed = simElapsed
-			cells = append(cells, *out)
+			d := o.domains[0]
+			meshKey := d.view.Key()
+			cells = append(cells, NetCell{
+				Protocol: p.Name, Cell: cell, Match: simKey == meshKey, SimKey: simKey, MeshKey: meshKey,
+				Stats: d.stats, Transport: d.transport, Mesh: o.mesh,
+				SimElapsed: simElapsed, MeshElapsed: o.elapsed,
+			})
 		}
 	}
 	return cells, nil

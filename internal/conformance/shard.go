@@ -1,52 +1,29 @@
-// Ordering-key sharding conformance and load: a sharded runtime must be
+// Ordering-key sharding conformance: a sharded runtime must be
 // observationally equivalent, per key, to running each ordering domain
 // alone on the unsharded protocol — the key partitions the message pairs
 // the forbidden predicate ranges over, so the per-key projection of a
 // sharded run and an unsharded single-key run of the same sub-workload
-// must produce byte-identical canonical views. The load half then
-// measures what the partition buys: with keys spread across independent
-// goroutine shards there is no cross-key blocking, so aggregate
-// throughput over thousands of domains is bounded by the machine, not by
-// one protocol instance's serialization.
+// must produce byte-identical canonical views.
 package conformance
 
 import (
+	"cmp"
 	"fmt"
-	"sync"
 	"time"
 
 	"msgorder/internal/event"
-	"msgorder/internal/netmesh"
-	"msgorder/internal/protocol"
 	"msgorder/internal/shard"
-	"msgorder/internal/sim"
-	"msgorder/internal/transport"
 	"msgorder/internal/userview"
 )
 
-// ShardKeys returns k distinct ordering keys derived from stable
-// application names ("domain-0".."domain-<k-1>"), the key set every
-// sharding harness in this package stamps workloads with.
-func ShardKeys(k int) []event.Key {
-	keys := make([]event.Key, k)
-	for i := range keys {
-		keys[i] = event.KeyOf(fmt.Sprintf("domain-%d", i))
-	}
-	return keys
-}
-
 // ShardWorkload derives the seeded lockstep message list and stamps it
-// with keys ordering domains round-robin, so every domain sees an
-// interleaved slice of the stream rather than a contiguous block.
+// with keys ordering domains ("domain-0".."domain-<keys-1>")
+// round-robin, so every domain sees an interleaved slice of the stream
+// rather than a contiguous block.
 func ShardWorkload(cfg NetMatrixConfig, colors []event.Color, keys int) []event.Message {
-	cfg = cfg.withDefaults()
-	if keys < 1 {
-		keys = 1
-	}
-	msgs := netWorkload(cfg, colors)
-	ks := ShardKeys(keys)
+	msgs := NetWorkload(cfg, colors)
 	for i := range msgs {
-		msgs[i].Key = ks[i%len(ks)]
+		msgs[i].Key = event.KeyOf(fmt.Sprintf("domain-%d", i%max(keys, 1)))
 	}
 	return msgs
 }
@@ -80,9 +57,7 @@ type ShardMatrixConfig struct {
 }
 
 func (c ShardMatrixConfig) withDefaults() ShardMatrixConfig {
-	if c.Keys == 0 {
-		c.Keys = 8
-	}
+	c.Keys = cmp.Or(c.Keys, 8)
 	return c
 }
 
@@ -111,18 +86,17 @@ type ShardCell struct {
 
 // shardRefs runs each ordering domain's sub-workload alone on the
 // unsharded protocol and returns the canonical reference view per key.
-func shardRefs(p NetProtocol, cfg NetMatrixConfig, msgs []event.Message, keys []event.Key) (map[event.Key]string, error) {
-	refs := make(map[event.Key]string, len(keys))
-	for _, k := range keys {
-		sub := subWorkload(msgs, k)
-		if len(sub) == 0 {
+func shardRefs(p NetProtocol, cfg NetMatrixConfig, msgs []event.Message) (map[event.Key]string, error) {
+	refs := make(map[event.Key]string)
+	for _, m := range msgs {
+		if _, done := refs[m.Key]; done {
 			continue
 		}
-		v, _, err := runSimLockstep(p.Maker, cfg.Procs, cfg.Seed, sub)
+		v, _, err := runSimLockstep(p.Maker, cfg.Procs, cfg.Seed, subWorkload(msgs, m.Key))
 		if err != nil {
-			return nil, fmt.Errorf("%s: unsharded reference for key %#x: %w", p.Name, uint64(k), err)
+			return nil, fmt.Errorf("%s: unsharded reference for key %#x: %w", p.Name, uint64(m.Key), err)
 		}
-		refs[k] = v.Key()
+		refs[m.Key] = v.Key()
 	}
 	return refs, nil
 }
@@ -163,14 +137,14 @@ func ShardMatrix(cfg ShardMatrixConfig, protos []NetProtocol) ([]ShardCell, erro
 	var cells []ShardCell
 	for _, p := range protos {
 		msgs := ShardWorkload(ncfg, p.Colors, cfg.Keys)
-		refs, err := shardRefs(p, ncfg, msgs, ShardKeys(cfg.Keys))
+		refs, err := shardRefs(p, ncfg, msgs)
 		if err != nil {
 			return nil, err
 		}
-		sharded := NetProtocol{Name: p.Name, Maker: shard.New(p.Maker), Colors: p.Colors}
+		sharded := shard.New(p.Maker)
 
 		simCell := ShardCell{Protocol: p.Name, Runtime: "sim", Keys: cfg.Keys}
-		simView, simElapsed, err := runSimLockstep(sharded.Maker, ncfg.Procs, ncfg.Seed, msgs)
+		simView, simElapsed, err := runSimLockstep(sharded, ncfg.Procs, ncfg.Seed, msgs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: sharded sim: %w", p.Name, err)
 		}
@@ -180,310 +154,15 @@ func ShardMatrix(cfg ShardMatrixConfig, protos []NetProtocol) ([]ShardCell, erro
 		}
 		cells = append(cells, simCell)
 
-		meshCell := ShardCell{Protocol: p.Name, Runtime: "mesh", Keys: cfg.Keys}
-		meshView, out, err := runMeshLockstep(sharded, ncfg, "sharded", msgs)
+		o, err := runMatrixCell(ncfg, cellSpec{name: "sharded-" + p.Name, maker: sharded}, "sharded", [][]event.Message{msgs})
 		if err != nil {
 			return nil, fmt.Errorf("%s: sharded mesh: %w", p.Name, err)
 		}
-		meshCell.Elapsed = out.MeshElapsed
-		if err := diffPerKey(meshView, refs, &meshCell); err != nil {
+		meshCell := ShardCell{Protocol: p.Name, Runtime: "mesh", Keys: cfg.Keys, Elapsed: o.elapsed}
+		if err := diffPerKey(o.domains[0].view, refs, &meshCell); err != nil {
 			return nil, fmt.Errorf("%s/mesh: %w", p.Name, err)
 		}
 		cells = append(cells, meshCell)
 	}
 	return cells, nil
-}
-
-// ShardLoadConfig shapes one sharded open-loop load run.
-type ShardLoadConfig struct {
-	// Procs is the per-shard mesh size (default 3).
-	Procs int
-	// Msgs is the total workload length across all shards
-	// (default 4000).
-	Msgs int
-	// Keys is the number of ordering domains (default 1000).
-	Keys int
-	// Shards is the number of independent shard runtimes keys are
-	// hash-partitioned across (default 4).
-	Shards int
-	// Seed drives the workload shape (default 1).
-	Seed int64
-	// Timeout bounds one shard's drain after its last invoke
-	// (default 60s).
-	Timeout time.Duration
-}
-
-func (c ShardLoadConfig) withDefaults() ShardLoadConfig {
-	if c.Procs == 0 {
-		c.Procs = 3
-	}
-	if c.Msgs == 0 {
-		c.Msgs = 4000
-	}
-	if c.Keys == 0 {
-		c.Keys = 1000
-	}
-	if c.Shards == 0 {
-		c.Shards = 4
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 60 * time.Second
-	}
-	return c
-}
-
-// ShardLoadResult is one (runtime, protocol) row of a sharded load run.
-type ShardLoadResult struct {
-	// Runtime is "sim" or "mesh".
-	Runtime string `json:"runtime"`
-	// Protocol is the inner catalog protocol (each key runs one
-	// lazily created instance of it).
-	Protocol string `json:"protocol"`
-	// Class is the inner protocol's capability class.
-	Class string `json:"class"`
-	// Msgs is the total workload length across all shards.
-	Msgs int `json:"msgs"`
-	// Keys is the number of ordering domains stamped on the workload.
-	Keys int `json:"keys"`
-	// Shards is the number of independent shard runtimes.
-	Shards int `json:"shards"`
-	// ElapsedMs is wall time from the first invoke anywhere to the
-	// last shard draining.
-	ElapsedMs float64 `json:"elapsed_ms"`
-	// MsgsPerSec is the aggregate end-to-end throughput.
-	MsgsPerSec float64 `json:"msgs_per_sec"`
-	// P50us / P99us / MaxUs summarize invoke→deliver latency across
-	// all shards, in microseconds.
-	P50us int64 `json:"p50_us"`
-	P99us int64 `json:"p99_us"`
-	MaxUs int64 `json:"max_us"`
-	// BaselineMsgsPerSec is the single-domain unsharded throughput of
-	// the same (runtime, protocol) from BENCH_load.json, when the
-	// caller supplies it; Speedup is MsgsPerSec over it.
-	BaselineMsgsPerSec float64 `json:"baseline_msgs_per_sec,omitempty"`
-	Speedup            float64 `json:"speedup,omitempty"`
-}
-
-// shardBuckets hash-partitions the keyed workload across shards and
-// renumbers each bucket to contiguous local IDs, returning the buckets
-// and the local→global ID map the shared latency probe needs.
-func shardBuckets(msgs []event.Message, shards int) (buckets [][]event.Message, orig [][]event.MsgID) {
-	buckets = make([][]event.Message, shards)
-	orig = make([][]event.MsgID, shards)
-	for _, m := range msgs {
-		s := shard.Of(m.Key, shards)
-		global := m.ID
-		m.ID = event.MsgID(len(buckets[s]))
-		buckets[s] = append(buckets[s], m)
-		orig[s] = append(orig[s], global)
-	}
-	return buckets, orig
-}
-
-// protoClass names the inner protocol's capability class for the row.
-func protoClass(maker protocol.Maker) string {
-	if d, ok := maker().(protocol.Describer); ok {
-		return d.Describe().Class.String()
-	}
-	return "unknown"
-}
-
-// RunShardLoadSim drives the keyed open-loop workload through Shards
-// independent in-memory harnesses — keys hash-partitioned by shard.Of,
-// every shard running the sharded protocol over its share of the
-// ordering domains — and reports aggregate throughput and latency.
-func RunShardLoadSim(p NetProtocol, cfg ShardLoadConfig) (ShardLoadResult, error) {
-	cfg = cfg.withDefaults()
-	msgs := ShardWorkload(NetMatrixConfig{Procs: cfg.Procs, Msgs: cfg.Msgs, Seed: cfg.Seed}, p.Colors, cfg.Keys)
-	buckets, orig := shardBuckets(msgs, cfg.Shards)
-	probe := newLatencyProbe(len(msgs))
-
-	nets := make([]*sim.Network, cfg.Shards)
-	for s := range nets {
-		ids := orig[s]
-		nw := sim.New(cfg.Procs, shard.New(p.Maker), sim.WithSeed(cfg.Seed+int64(s)), sim.WithTimeout(cfg.Timeout))
-		nw.OnDeliver(func(_ event.ProcID, id event.MsgID) []sim.Request {
-			probe.delivered(ids[id])
-			return nil
-		})
-		nets[s] = nw
-	}
-
-	// The timed region covers invoking and draining every shard; the
-	// per-shard Stop (which builds and validates the recorded run — an
-	// O(events²) poset construction) runs after the clock stops, exactly
-	// as in the unsharded load runner.
-	start := time.Now()
-	errs := make([]error, cfg.Shards)
-	var wg sync.WaitGroup
-	for s := range nets {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			nw, bucket, ids := nets[s], buckets[s], orig[s]
-			for _, m := range bucket {
-				probe.invoked(ids[m.ID])
-				if err := nw.Invoke(sim.Request{From: m.From, To: m.To, Color: m.Color, Key: m.Key}); err != nil {
-					errs[s] = fmt.Errorf("shard %d invoke m%d: %w", s, m.ID, err)
-					return
-				}
-			}
-			if err := nw.Quiesce(); err != nil {
-				errs[s] = fmt.Errorf("shard %d quiesce: %w", s, err)
-			}
-		}(s)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for s, nw := range nets {
-		if errs[s] != nil {
-			continue
-		}
-		res, err := nw.Stop()
-		if err != nil {
-			errs[s] = fmt.Errorf("shard %d: %w", s, err)
-			continue
-		}
-		if len(res.Undelivered) > 0 {
-			errs[s] = fmt.Errorf("shard %d left %d undelivered", s, len(res.Undelivered))
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return ShardLoadResult{}, fmt.Errorf("shard load sim %s: %w", p.Name, err)
-		}
-	}
-	out := ShardLoadResult{
-		Runtime: "sim", Protocol: p.Name, Class: protoClass(p.Maker),
-		Msgs: len(msgs), Keys: cfg.Keys, Shards: cfg.Shards,
-	}
-	out.ElapsedMs = float64(elapsed.Microseconds()) / 1000
-	out.MsgsPerSec = float64(len(msgs)) / elapsed.Seconds()
-	fillShardLatency(probe, &out)
-	return out, nil
-}
-
-// fillShardLatency copies the probe's quantiles into a shard row.
-func fillShardLatency(p *latencyProbe, r *ShardLoadResult) {
-	var lr LoadResult
-	p.fill(&lr)
-	r.P50us, r.P99us, r.MaxUs = lr.P50us, lr.P99us, lr.MaxUs
-}
-
-// RunShardLoadMesh drives the keyed open-loop workload through Shards
-// independent loopback TCP meshes (cfg.Procs nodes each, real sockets),
-// keys hash-partitioned across the meshes, and reports aggregate
-// throughput and latency. Every shard's user view is validated before
-// any number is returned.
-func RunShardLoadMesh(p NetProtocol, cfg ShardLoadConfig) (ShardLoadResult, error) {
-	cfg = cfg.withDefaults()
-	msgs := ShardWorkload(NetMatrixConfig{Procs: cfg.Procs, Msgs: cfg.Msgs, Seed: cfg.Seed}, p.Colors, cfg.Keys)
-	buckets, orig := shardBuckets(msgs, cfg.Shards)
-	probe := newLatencyProbe(len(msgs))
-	maker := shard.New(p.Maker)
-
-	meshes := make([][]*netmesh.Node, cfg.Shards)
-	defer func() {
-		for _, nodes := range meshes {
-			for _, n := range nodes {
-				if n != nil {
-					n.Close()
-				}
-			}
-		}
-	}()
-	for s := range meshes {
-		addrs, err := meshPorts(cfg.Procs)
-		if err != nil {
-			return ShardLoadResult{}, err
-		}
-		fp := netmesh.Fingerprint("sharded-"+p.Name, fmt.Sprintf("shardload-%d", s), cfg.Procs)
-		nodes := make([]*netmesh.Node, cfg.Procs)
-		ids := orig[s]
-		for i := range nodes {
-			n, err := netmesh.NewNode(netmesh.NodeConfig{
-				Self:  event.ProcID(i),
-				Procs: cfg.Procs,
-				Maker: maker,
-				Mesh: netmesh.MeshConfig{
-					Addrs: addrs, Fingerprint: fp, Seed: cfg.Seed + int64(s*cfg.Procs+i),
-				},
-				// Same reasoning as the unsharded load cell: a clean loopback
-				// network under open-loop queueing needs a generous RTO.
-				Transport: transport.Config{RTO: 250 * time.Millisecond, MaxRTO: 2 * time.Second},
-				OnDeliver: func(id event.MsgID) { probe.delivered(ids[id]) },
-			})
-			if err != nil {
-				return ShardLoadResult{}, fmt.Errorf("shard load %s: shard %d node %d: %w", p.Name, s, i, err)
-			}
-			nodes[i] = n
-		}
-		meshes[s] = nodes
-	}
-
-	// As in the sim runner, the timed region is invoke→drain only; the
-	// per-shard user-view validation (an O(events²) construction) runs
-	// after the clock stops.
-	start := time.Now()
-	errs := make([]error, cfg.Shards)
-	var wg sync.WaitGroup
-	for s := range meshes {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			nodes, bucket, ids := meshes[s], buckets[s], orig[s]
-			want := make([]int, cfg.Procs)
-			for _, m := range bucket {
-				probe.invoked(ids[m.ID])
-				if err := nodes[m.From].Invoke(m); err != nil {
-					errs[s] = fmt.Errorf("shard %d invoke m%d: %w", s, m.ID, err)
-					return
-				}
-				want[m.To]++
-			}
-			for i, n := range nodes {
-				if err := n.WaitDeliveries(want[i], cfg.Timeout); err != nil {
-					errs[s] = fmt.Errorf("shard %d: %w", s, err)
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for s := range meshes {
-		if errs[s] != nil {
-			continue
-		}
-		nodes, bucket := meshes[s], buckets[s]
-		procEvents := make([][]event.Event, cfg.Procs)
-		for i, n := range nodes {
-			if err := n.Err(); err != nil {
-				errs[s] = fmt.Errorf("shard %d P%d: %w", s, i, err)
-				break
-			}
-			procEvents[i] = n.Events()
-		}
-		if errs[s] == nil {
-			if _, err := userview.New(bucket, procEvents); err != nil {
-				errs[s] = fmt.Errorf("shard %d run invalid: %w", s, err)
-			}
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return ShardLoadResult{}, fmt.Errorf("shard load mesh %s: %w", p.Name, err)
-		}
-	}
-	out := ShardLoadResult{
-		Runtime: "mesh", Protocol: p.Name, Class: protoClass(p.Maker),
-		Msgs: len(msgs), Keys: cfg.Keys, Shards: cfg.Shards,
-	}
-	out.ElapsedMs = float64(elapsed.Microseconds()) / 1000
-	out.MsgsPerSec = float64(len(msgs)) / elapsed.Seconds()
-	fillShardLatency(probe, &out)
-	return out, nil
 }

@@ -56,35 +56,3 @@ func TestShardMatrixDefaults(t *testing.T) {
 		}
 	}
 }
-
-// TestShardLoadSmoke drives small sharded load runs on both runtimes:
-// nonzero throughput over a multi-key, multi-shard workload, with the
-// row describing the partition it measured.
-func TestShardLoadSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second load runs")
-	}
-	e, ok := registry.ByName("fifo")
-	if !ok {
-		t.Fatal("fifo missing from registry")
-	}
-	p := NetProtocol{Name: e.Name, Maker: e.Maker, Colors: e.Colors}
-	cfg := ShardLoadConfig{Msgs: 800, Keys: 40, Shards: 4, Seed: 3}
-	for _, run := range []func(NetProtocol, ShardLoadConfig) (ShardLoadResult, error){
-		RunShardLoadSim, RunShardLoadMesh,
-	} {
-		res, err := run(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MsgsPerSec <= 0 {
-			t.Fatalf("%s: zero throughput", res.Runtime)
-		}
-		if res.Msgs != 800 || res.Keys != 40 || res.Shards != 4 {
-			t.Fatalf("%s: row misdescribes the run: %+v", res.Runtime, res)
-		}
-		if res.Class != "tagged" {
-			t.Fatalf("%s: class = %q, want tagged", res.Runtime, res.Class)
-		}
-	}
-}

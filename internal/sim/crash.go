@@ -77,8 +77,13 @@ func (nw *Network) crashProcess(sp crash.Spec) bool {
 	nw.hosts[sp.Proc].Crash(fmt.Sprintf("%s at release %d", kind, sp.At))
 
 	if sp.Restart {
+		// A scheduled restart is outstanding work: the run is not
+		// quiescent until the process is back, so Stop waits for the
+		// recovery instead of cancelling it.
+		nw.work.add(1)
 		crashedAt := time.Now()
 		t := time.AfterFunc(sp.Downtime, func() {
+			defer nw.work.done()
 			nw.restartProcess(sp.Proc, inc, crashedAt)
 		})
 		nw.mu.Lock()

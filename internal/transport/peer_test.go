@@ -102,13 +102,15 @@ func TestPartitionHealsAfterBackoffCap(t *testing.T) {
 			if in.Decide(e.Src, e.Dst) != Deliver {
 				return
 			}
-			if r.Accept(e) {
+			fresh := r.Accept(e)
+			r.Ack(AckFor(e))
+			// Signal only after the ack: the waiter reads Pending next.
+			if fresh {
 				select {
 				case accepted <- struct{}{}:
 				default:
 				}
 			}
-			r.Ack(AckFor(e))
 		},
 	)
 	defer r.Close()

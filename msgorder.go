@@ -421,6 +421,12 @@ type (
 	NetSweepConfig = conformance.NetMatrixConfig
 	// NetCell is one (protocol, disturbance) cell of a sweep.
 	NetCell = conformance.NetCell
+	// WALGroupCommit tunes group-commit batching of a file-backed
+	// journal (max pending entries, flush window, per-flush fsync).
+	WALGroupCommit = crash.GroupCommit
+	// WALStats tallies a journal's appends against its file flushes;
+	// Appends ≫ Flushes is group commit working.
+	WALStats = crash.WALStats
 )
 
 // MeshFingerprint derives the handshake fingerprint nodes exchange;
@@ -437,40 +443,6 @@ func NewMeshNode(cfg MeshNodeConfig) (*MeshNode, error) { return netmesh.NewNode
 // cell reports whether the user views matched byte for byte.
 func NetSweep(cfg NetSweepConfig, protos []NetProtocol) ([]NetCell, error) {
 	return conformance.NetMatrix(cfg, protos)
-}
-
-// Sustained load. Where NetSweep drives lockstep workloads to compare
-// user views, the load runners invoke the whole seeded workload
-// open-loop and let the high-throughput path — per-peer frame
-// batching, pooled codec buffers, pipelined cumulative acks, and an
-// optionally group-committed WAL — drain it at full speed. Every run
-// still validates its user view before reporting a number.
-type (
-	// LoadConfig shapes one open-loop load run (size, seed, optional
-	// file-backed group-commit WALs).
-	LoadConfig = conformance.LoadConfig
-	// LoadResult is one (runtime, protocol) row: throughput,
-	// invoke→deliver latency quantiles, and the batching counters that
-	// explain them.
-	LoadResult = conformance.LoadResult
-	// WALGroupCommit tunes group-commit batching of a file-backed
-	// journal (max pending entries, flush window, per-flush fsync).
-	WALGroupCommit = crash.GroupCommit
-	// WALStats tallies a journal's appends against its file flushes;
-	// Appends ≫ Flushes is group commit working.
-	WALStats = crash.WALStats
-)
-
-// RunLoadSim measures sustained open-loop throughput on the in-memory
-// live harness.
-func RunLoadSim(p NetProtocol, cfg LoadConfig) (LoadResult, error) {
-	return conformance.RunLoadSim(p, cfg)
-}
-
-// RunLoadMesh measures sustained open-loop throughput on a loopback
-// TCP mesh — the batched, pooled, pipelined-ack hot path.
-func RunLoadMesh(p NetProtocol, cfg LoadConfig) (LoadResult, error) {
-	return conformance.RunLoadMesh(p, cfg)
 }
 
 // Dynamic membership. A MemberTracker holds the epoch-numbered group
@@ -542,7 +514,7 @@ func ChurnSweep(cfg ChurnSweepConfig, protos []ChurnProtocol) ([]ChurnCell, erro
 // and per-channel outboxes keep a partitioned channel from head-of-
 // line-blocking its siblings. MuxSweep closes the loop: every channel
 // of a shared mesh must reproduce its standalone run's user view byte
-// for byte; MuxLoad measures what sharing the wire costs.
+// for byte.
 type (
 	// ChannelMux multiplexes logical channels over one mesh endpoint.
 	ChannelMux = chanmux.Mux
@@ -560,9 +532,6 @@ type (
 	ChannelInfo = chanmux.Info
 	// MuxCell is one (channel, disturbance) cell of a MuxSweep.
 	MuxCell = conformance.MuxCell
-	// MuxLoadRow is one channel's row of a MuxLoad overhead
-	// comparison (solo vs shared).
-	MuxLoadRow = conformance.MuxLoadRow
 )
 
 // ErrUnknownChannel reports an operation on a channel the mux has not
@@ -580,13 +549,4 @@ func NewChannelMux(cfg ChannelMuxConfig) (*ChannelMux, error) { return chanmux.N
 // under clean, lossy, and crash-restart cells.
 func MuxSweep(cfg NetSweepConfig, protos []NetProtocol) ([]MuxCell, error) {
 	return conformance.MuxMatrix(cfg, protos)
-}
-
-// MuxLoad measures multiplexing overhead: the measured protocol's
-// channel runs an open-loop workload solo on a mux mesh and again
-// sharing the mesh with a companion channel under equal load. A
-// tagless measured channel must report identical per-message overhead
-// in both rows.
-func MuxLoad(cfg LoadConfig, measured, companion NetProtocol) ([]MuxLoadRow, error) {
-	return conformance.MuxLoad(cfg, measured, companion)
 }

@@ -115,20 +115,12 @@ echo "== net smoke (real-process gate) =="
 go build -o "$tracetmp/mod" ./cmd/mod
 go run ./cmd/mobench net -smoke -modbin "$tracetmp/mod"
 
-echo "== load smoke (throughput gate) =="
-# A short open-loop load run over the batched mesh path: the subcommand
-# itself re-reads BENCH_load.json and exits non-zero if it is truncated
-# or any row reports zero throughput.
-go run ./cmd/mobench load -json -outdir "$tracetmp/load" -msgs 500 -protos tagless >/dev/null
-[ -s "$tracetmp/load/BENCH_load.json" ]
-
-echo "== shard smoke (ordering-key gate) =="
-# A short keyed open-loop run over the sharded runtime, sim and mesh:
-# the subcommand re-reads BENCH_shard.json and exits non-zero if it is
-# truncated, any row reports zero throughput, or a row ran with fewer
-# than 2 keys or 2 shards.
-go run ./cmd/mobench shard -json -outdir "$tracetmp/shard" -msgs 600 -keys 24 -shards 4 -protos fifo >/dev/null
-[ -s "$tracetmp/shard/BENCH_shard.json" ]
+echo "== keyed-load smoke (open-loop sharded-mesh gate) =="
+# The benchmark's keyed-1k workload at smoke size: open-loop traffic
+# over 1000 ordering domains on the sharded runtime across a loopback
+# mesh, every run's user view validated before a number is printed. It
+# is the one workload the benchmark's own TestSmoke does not boot.
+go run -C benchmark . -smoke --workload keyed-1k -history "$tracetmp/keyed.ndjson" >/dev/null
 
 echo "== obs-fleet smoke (observability-plane gate) =="
 # A short E15 pass: traced-vs-untraced overhead rows, a live scraped
