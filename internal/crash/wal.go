@@ -284,12 +284,14 @@ func (w *WAL) Stats() WALStats {
 
 // Checkpoint replaces everything journaled so far with a snapshot:
 // recovery will restore snap and replay only entries appended after
-// this call. The WAL takes ownership of snap — the caller must not
-// modify it afterwards (Replay hands out copies).
+// this call. The WAL copies snap into the one checkpoint buffer it
+// keeps and reuses, so snap stays the caller's (a host re-encodes
+// into it at the next checkpoint) and the WAL holds the only retained
+// copy; Replay hands out copies of that.
 func (w *WAL) Checkpoint(snap []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.snap = snap
+	w.snap = append(w.snap[:0], snap...)
 	// Keep the journal's backing array for the next cycle; Replay copies
 	// entries out, so nothing else holds it.
 	clear(w.entries)

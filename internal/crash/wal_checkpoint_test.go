@@ -75,6 +75,30 @@ func TestReplayIsolatedFromLaterCycles(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsItsOwnCopy guards the other side of the
+// checkpoint contract: the blob passed to Checkpoint stays the
+// caller's, so re-encoding into the same buffer afterwards — what a
+// host does at its next checkpoint — must not reach what recovery
+// reads.
+func TestCheckpointKeepsItsOwnCopy(t *testing.T) {
+	w := NewWAL()
+	buf := []byte("first checkpoint")
+	if err := w.Checkpoint(buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "scribbled over!!")
+	if snap, _ := w.Replay(); string(snap) != "first checkpoint" {
+		t.Fatalf("Replay = %q after the caller reused its buffer", snap)
+	}
+	if err := w.Checkpoint(buf[:5]); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "xxxxx")
+	if snap, _ := w.Replay(); string(snap) != "scrib" {
+		t.Fatalf("Replay = %q after a shorter checkpoint, want %q", snap, "scrib")
+	}
+}
+
 // TestFileCheckpointRecordBytes pins the on-disk checkpoint record —
 // tag, uvarint length, blob, then the entries appended since — written
 // as header and blob separately, and its round trip through a reopen,

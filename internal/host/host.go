@@ -66,10 +66,12 @@ type Config struct {
 type Host struct {
 	cfg         Config
 	inst        protocol.Process
+	snapper     protocol.Snapshotter // inst, when it can checkpoint
 	class       protocol.Class
 	incarnation int
 	replay      bool
 	got         []crash.Entry // outputs collected during replay
+	blob        snapio.Writer // the last checkpoint's encoding, reused
 }
 
 // New returns a host with no instance yet: Boot or Recover installs one.
@@ -81,9 +83,11 @@ func (h *Host) Boot(inst protocol.Process) {
 	inst.Init(h)
 }
 
-// adopt makes inst the live instance and reads its capability class.
+// adopt makes inst the live instance and reads its capability class
+// and whether it can checkpoint.
 func (h *Host) adopt(inst protocol.Process) {
 	h.inst = inst
+	h.snapper, _ = inst.(protocol.Snapshotter)
 	h.class = protocol.General
 	if d, ok := inst.(protocol.Describer); ok {
 		h.class = d.Describe().Class
@@ -182,21 +186,21 @@ func (h *Host) journal(en crash.Entry) {
 // checkpoint runs after an input's handler — never in between, so a
 // checkpoint cannot split an input from its outputs — and writes the
 // one blob shape: the protocol snapshot followed by the runtime's part
-// (empty without RuntimeState).
+// (empty without RuntimeState). Both parts are borrowed from their
+// encoders and the blob is written into the Writer the host keeps;
+// the WAL copies it, so a warm checkpoint allocates nothing.
 func (h *Host) checkpoint() {
 	w := h.cfg.WAL
-	if w == nil || h.cfg.SnapshotEvery <= 0 || w.SinceCheckpoint() < h.cfg.SnapshotEvery {
-		return
-	}
-	s, ok := h.inst.(protocol.Snapshotter)
-	if !ok {
+	if h.snapper == nil || w == nil || h.cfg.SnapshotEvery <= 0 || w.SinceCheckpoint() < h.cfg.SnapshotEvery {
 		return
 	}
 	var rt []byte
 	if h.cfg.RuntimeState != nil {
 		rt = h.cfg.RuntimeState()
 	}
-	blob := EncodeCheckpoint(s.Snapshot(), rt)
+	h.blob.Reset()
+	WriteCheckpoint(&h.blob, h.snapper.Snapshot(), rt)
+	blob := h.blob.Out()
 	if err := w.Checkpoint(blob); err != nil {
 		h.cfg.Fail(err)
 		return
@@ -204,13 +208,11 @@ func (h *Host) checkpoint() {
 	crash.ObserveCheckpoint(h.cfg.Sink, h.inst, len(blob))
 }
 
-// EncodeCheckpoint packs a protocol snapshot and a runtime part into
-// the checkpoint blob every host writes and Recover reads.
-func EncodeCheckpoint(proto, runtime []byte) []byte {
-	w := snapio.NewWriter(snapio.BytesLen(len(proto)) + snapio.BytesLen(len(runtime)))
+// WriteCheckpoint writes to w the checkpoint blob every host writes
+// and Recover reads: the protocol snapshot, then the runtime part.
+func WriteCheckpoint(w *snapio.Writer, proto, runtime []byte) {
 	w.Bytes(proto)
 	w.Bytes(runtime)
-	return w.Out()
 }
 
 // Recover brings inst live from durable state: it restores the

@@ -12,6 +12,7 @@ import (
 	"msgorder/internal/host"
 	"msgorder/internal/protocol"
 	"msgorder/internal/protocols/fifo"
+	"msgorder/internal/shard"
 )
 
 // pair wires two hosts back to back: every sent wire is queued and
@@ -158,5 +159,52 @@ func TestRecoverVerifiesReplay(t *testing.T) {
 				t.Fatal("recovered state differs from the journaled instance's")
 			}
 		})
+	}
+}
+
+// TestRecoverAfterEncodersMoveOn: a checkpoint borrows its protocol and
+// runtime parts from encoders that reuse their buffers. After it, the
+// protocol takes more inputs and snapshots again and the runtime
+// re-encodes its part in place; recovery from the WAL must still see
+// the checkpoint as written and verify the replay.
+func TestRecoverAfterEncodersMoveOn(t *testing.T) {
+	maker := shard.New(fifo.Maker)
+	wal := crash.NewWAL()
+	rt := []byte("runtime part")
+	p := newPair(t, maker, wal, 7, rt)
+	rec := protocol.NewRecorder(2)
+	send := func(from event.ProcID, i int) {
+		m := rec.NewMessage(from, 1-from, event.ColorNone)
+		m.Key = event.Key(1 + i%4)
+		p.invoke(m)
+	}
+	var ckpt []byte
+	for i := 0; ckpt == nil; i++ {
+		send(event.ProcID(i%2), i)
+		ckpt, _ = wal.Replay()
+	}
+	for i := 0; i < 2; i++ { // two inputs and two outputs at P0: no checkpoint
+		send(1, i)
+	}
+	p.insts[0].(protocol.Snapshotter).Snapshot()
+	copy(rt, "RUNTIME PART")
+
+	snap, entries := wal.Replay()
+	if !bytes.Equal(snap, ckpt) || len(entries) != 4 {
+		t.Fatalf("WAL holds a %d-byte checkpoint and %d entries, want the first one's %d bytes and 4", len(snap), len(entries), len(ckpt))
+	}
+	h := host.New(host.Config{Self: 0, Procs: 2,
+		Send: func(protocol.Wire) {}, Deliver: func(event.MsgID) {}, Fail: func(error) {}})
+	inst := maker()
+	gotRT, _, err := h.Recover(inst, snap, entries, time.Time{})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if string(gotRT) != "runtime part" {
+		t.Fatalf("runtime part = %q, want the one checkpointed", gotRT)
+	}
+	live := p.insts[0].(protocol.Snapshotter).Snapshot()
+	if got := inst.(protocol.Snapshotter).Snapshot(); !bytes.Equal(got, live) {
+		t.Fatal("recovered state differs from the journaled instance's")
 	}
 }

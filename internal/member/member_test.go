@@ -13,6 +13,7 @@ import (
 	"msgorder/internal/member"
 	"msgorder/internal/protocol"
 	"msgorder/internal/protocols/registry"
+	"msgorder/internal/snapio"
 )
 
 func TestTrackerTransitions(t *testing.T) {
@@ -193,8 +194,9 @@ func TestTransferByteIdentical(t *testing.T) {
 			for i, m := range msgs {
 				h.invoke(m)
 				if i == 5 {
-					snap := h.insts[target].(protocol.Snapshotter).Snapshot()
-					if err := wal.Checkpoint(host.EncodeCheckpoint(snap, nil)); err != nil {
+					var blob snapio.Writer
+					host.WriteCheckpoint(&blob, h.insts[target].(protocol.Snapshotter).Snapshot(), nil)
+					if err := wal.Checkpoint(blob.Out()); err != nil {
 						t.Fatalf("checkpoint: %v", err)
 					}
 				}

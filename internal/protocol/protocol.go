@@ -130,12 +130,16 @@ type Maker func() Process
 // Snapshots let the write-ahead log be truncated: a recovering process
 // restores the latest snapshot and replays only the journal suffix.
 //
-// Two further facts are contract, because callers cache on them
-// (shard's dirty-domain checkpoint cache): the buffer Snapshot returns
-// is owned by the caller — the instance neither keeps nor later writes
-// it — and an instance's ordering state changes only inside Init,
+// Two further facts are contract, because callers rely on them. First,
+// the buffer Snapshot returns belongs to the instance, which encodes
+// every snapshot into one buffer it keeps, so a steady checkpoint
+// allocates nothing: the bytes stay valid until the instance's next
+// Snapshot, Restore or handler call, and a caller that keeps them
+// longer must copy them (the WAL does; Restore must not retain b).
+// Second, an instance's ordering state changes only inside Init,
 // OnInvoke, OnReceive, OnBroadcast and Restore, so between two such
-// calls Snapshot keeps returning the same bytes.
+// calls Snapshot keeps returning the same bytes — which is what lets
+// shard's dirty-domain cache hold a clean domain's buffer as is.
 type Snapshotter interface {
 	Snapshot() []byte
 	Restore(b []byte) error

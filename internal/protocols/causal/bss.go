@@ -3,6 +3,7 @@ package causal
 import (
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
+	"msgorder/internal/snapio"
 	"msgorder/internal/vc"
 )
 
@@ -25,6 +26,7 @@ type BSS struct {
 	// counts this process's broadcasts (delivered locally by fiat).
 	vcDel vc.Vector
 	held  []heldBSS
+	snap  snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
 }
 
 type heldBSS struct {

@@ -23,6 +23,7 @@ import (
 
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
+	"msgorder/internal/snapio"
 	"msgorder/internal/vc"
 )
 
@@ -35,6 +36,7 @@ type RST struct {
 	del []uint64 // del[j] = messages from j delivered here
 	// held buffers received-but-undeliverable messages.
 	held []heldRST
+	snap snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
 }
 
 type heldRST struct {
@@ -140,6 +142,7 @@ type SES struct {
 	// vm[k] is the timestamp knowledge of messages sent to process k.
 	vm   map[event.ProcID]vc.Vector
 	held []heldSES
+	snap snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
 }
 
 type heldSES struct {

@@ -19,7 +19,8 @@ var (
 // The held buffer is encoded in arrival order — the drain scan is
 // order-sensitive, so order IS state.
 func (p *RST) Snapshot() []byte {
-	var w snapio.Writer
+	w := &p.snap
+	w.Reset()
 	w.Bytes(p.m.Encode())
 	w.Int(len(p.del))
 	for _, d := range p.del {
@@ -63,9 +64,10 @@ func (p *RST) Restore(b []byte) error {
 // Snapshot encodes the vector clock, per-destination send knowledge and
 // held buffer (in arrival order — the drain scan is order-sensitive).
 func (p *SES) Snapshot() []byte {
-	var w snapio.Writer
+	w := &p.snap
+	w.Reset()
 	w.Bytes(p.v.Encode())
-	writeVecMap(&w, p.vm)
+	writeVecMap(w, p.vm)
 	w.Int(len(p.held))
 	for _, h := range p.held {
 		w.Int(int(h.id))
@@ -74,7 +76,7 @@ func (p *SES) Snapshot() []byte {
 		if h.need != nil {
 			w.Bytes(h.need.Encode())
 		}
-		writeVecMap(&w, h.rest)
+		writeVecMap(w, h.rest)
 	}
 	return w.Out()
 }
@@ -116,7 +118,8 @@ func (p *SES) Restore(b []byte) error {
 // Snapshot encodes the delivery vector and held buffer (in arrival
 // order — the drain scan is order-sensitive).
 func (p *BSS) Snapshot() []byte {
-	var w snapio.Writer
+	w := &p.snap
+	w.Reset()
 	w.Bytes(p.vcDel.Encode())
 	w.Int(len(p.held))
 	for _, h := range p.held {

@@ -15,6 +15,7 @@ import (
 
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
+	"msgorder/internal/snapio"
 )
 
 // Process is one FIFO protocol instance.
@@ -26,6 +27,13 @@ type Process struct {
 	nextDeliver map[event.ProcID]uint64
 	// held buffers out-of-order messages: held[src][seq] = message id.
 	held map[event.ProcID]map[uint64]event.MsgID
+
+	// snap, procs and seqs are Snapshot's encoding and sort scratch,
+	// kept for the next one (protocol.Snapshotter: the returned bytes
+	// belong to the instance), so a warm snapshot allocates nothing.
+	snap  snapio.Writer
+	procs []event.ProcID
+	seqs  []uint64
 }
 
 var (

@@ -13,20 +13,22 @@ var _ protocol.Snapshotter = (*Process)(nil)
 // Snapshot encodes the per-channel sequencing state deterministically
 // (map keys are sorted; held buffers are keyed, so order is not state).
 func (p *Process) Snapshot() []byte {
-	var w snapio.Writer
-	writeSeqMap(&w, p.nextSend)
-	writeSeqMap(&w, p.nextDeliver)
-	w.Int(len(p.held))
-	for _, src := range sortedProcs(p.held) {
+	w := &p.snap
+	w.Reset()
+	p.writeSeqMap(p.nextSend)
+	p.writeSeqMap(p.nextDeliver)
+	p.procs = sortedProcs(p.procs[:0], p.held)
+	w.Int(len(p.procs))
+	for _, src := range p.procs {
 		hm := p.held[src]
 		w.Int(int(src))
 		w.Int(len(hm))
-		seqs := make([]uint64, 0, len(hm))
+		p.seqs = p.seqs[:0]
 		for seq := range hm {
-			seqs = append(seqs, seq)
+			p.seqs = append(p.seqs, seq)
 		}
-		slices.Sort(seqs)
-		for _, seq := range seqs {
+		slices.Sort(p.seqs)
+		for _, seq := range p.seqs {
 			w.U64(seq)
 			w.Int(int(hm[seq]))
 		}
@@ -57,16 +59,12 @@ func (p *Process) Restore(b []byte) error {
 }
 
 // writeSeqMap encodes a proc→sequence map in ascending key order.
-func writeSeqMap(w *snapio.Writer, m map[event.ProcID]uint64) {
-	w.Int(len(m))
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, int(k))
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		w.Int(k)
-		w.U64(m[event.ProcID(k)])
+func (p *Process) writeSeqMap(m map[event.ProcID]uint64) {
+	p.procs = sortedProcs(p.procs[:0], m)
+	p.snap.Int(len(p.procs))
+	for _, k := range p.procs {
+		p.snap.Int(int(k))
+		p.snap.U64(m[k])
 	}
 }
 
@@ -79,12 +77,11 @@ func readSeqMap(r *snapio.Reader) map[event.ProcID]uint64 {
 	return m
 }
 
-// sortedProcs returns m's keys in ascending order.
-func sortedProcs[V any](m map[event.ProcID]V) []event.ProcID {
-	keys := make([]event.ProcID, 0, len(m))
+// sortedProcs appends m's keys to dst and sorts the result.
+func sortedProcs[V any](dst []event.ProcID, m map[event.ProcID]V) []event.ProcID {
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	slices.Sort(keys)
-	return keys
+	slices.Sort(dst)
+	return dst
 }

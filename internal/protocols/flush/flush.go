@@ -18,6 +18,7 @@ import (
 
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
+	"msgorder/internal/snapio"
 )
 
 // Kind selects the flush behaviour of one send.
@@ -81,7 +82,8 @@ type Process struct {
 	nextSeq     map[event.ProcID]uint64
 	lastBarrier map[event.ProcID]uint64 // 0 = none
 	// Receiver side, per source.
-	in map[event.ProcID]*inbound
+	in   map[event.ProcID]*inbound
+	snap snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
 }
 
 type inbound struct {

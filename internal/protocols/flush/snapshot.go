@@ -14,9 +14,10 @@ var _ protocol.Snapshotter = (*Process)(nil)
 // Held buffers are encoded in arrival order — the drain scan is
 // order-sensitive, so order IS state.
 func (p *Process) Snapshot() []byte {
-	var w snapio.Writer
-	writeProcSeqs(&w, p.nextSeq)
-	writeProcSeqs(&w, p.lastBarrier)
+	w := &p.snap
+	w.Reset()
+	writeProcSeqs(w, p.nextSeq)
+	writeProcSeqs(w, p.lastBarrier)
 	w.Int(len(p.in))
 	for _, src := range sortedProcKeys(p.in) {
 		ib := p.in[src]

@@ -30,6 +30,7 @@ import (
 
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
+	"msgorder/internal/snapio"
 )
 
 // Control message types.
@@ -94,6 +95,8 @@ type Process struct {
 	// Coordinator state (process 0 only).
 	lockQ    []event.ProcID
 	lockBusy bool
+
+	snap snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
 }
 
 var (

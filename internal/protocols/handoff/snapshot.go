@@ -35,7 +35,8 @@ func readMsg(r *snapio.Reader) event.Message {
 // responder drain slot and the coordinator lock. Map traversals are
 // sorted, so equal states encode to equal bytes.
 func (p *Process) Snapshot() []byte {
-	var w snapio.Writer
+	w := &p.snap
+	w.Reset()
 	w.Int(len(p.sent))
 	for _, s := range p.sent {
 		w.U64(s)
@@ -44,12 +45,12 @@ func (p *Process) Snapshot() []byte {
 	w.Int(p.freezes)
 	w.Int(len(p.holdQ))
 	for _, m := range p.holdQ {
-		appendMsg(&w, m)
+		appendMsg(w, m)
 	}
 	w.Byte(p.phase)
 	w.Int(len(p.reds))
 	for _, m := range p.reds {
-		appendMsg(&w, m)
+		appendMsg(w, m)
 	}
 	procs := make([]int, 0, len(p.frozen))
 	for q := range p.frozen {

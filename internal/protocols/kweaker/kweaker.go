@@ -18,6 +18,7 @@ import (
 
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
+	"msgorder/internal/snapio"
 )
 
 // Process is one k-weaker protocol instance.
@@ -27,7 +28,8 @@ type Process struct {
 	// Sender side: next sequence per destination (sequences start at 1).
 	nextSeq map[event.ProcID]uint64
 	// Receiver side, per source.
-	in map[event.ProcID]*inbound
+	in   map[event.ProcID]*inbound
+	snap snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
 }
 
 type inbound struct {

@@ -15,7 +15,8 @@ var _ protocol.Snapshotter = (*Process)(nil)
 // buffers are encoded in arrival order — the drain scan is
 // order-sensitive, so order IS state.
 func (p *Process) Snapshot() []byte {
-	var w snapio.Writer
+	w := &p.snap
+	w.Reset()
 	w.Int(len(p.nextSeq))
 	for _, dst := range sortedKeys(p.nextSeq) {
 		w.Int(int(dst))

@@ -73,8 +73,34 @@ func (e *Env) DeliveredSeq() []int {
 // RestoreClone snapshots src and restores the snapshot into clone
 // (which must already be Init'd). It fails the test unless the clone
 // re-encodes to byte-identical bytes — the determinism contract of
-// protocol.Snapshotter — and returns the snapshot for further checks.
+// protocol.Snapshotter — and returns the snapshot for further checks:
+// src's own buffer, valid until src's next Snapshot, Restore or
+// handler call.
 func RestoreClone(t testing.TB, src, clone protocol.Process) []byte {
+	t.Helper()
+	s, c := snapshotters(t, src, clone)
+	snap := s.Snapshot()
+	restoreStable(t, c, snap)
+	return snap
+}
+
+// KeptSnapshotRestores checks the ownership half of the
+// protocol.Snapshotter contract: it copies src's snapshot as a WAL
+// does, lets more hand src further inputs, and has src snapshot again
+// into the buffer it keeps. The copy must still restore into clone
+// (which must already be Init'd) and re-encode byte-identically. It
+// returns the copy.
+func KeptSnapshotRestores(t testing.TB, src protocol.Process, more func(), clone protocol.Process) []byte {
+	t.Helper()
+	s, c := snapshotters(t, src, clone)
+	kept := bytes.Clone(s.Snapshot())
+	more()
+	s.Snapshot()
+	restoreStable(t, c, kept)
+	return kept
+}
+
+func snapshotters(t testing.TB, src, clone protocol.Process) (protocol.Snapshotter, protocol.Snapshotter) {
 	t.Helper()
 	s, ok := src.(protocol.Snapshotter)
 	if !ok {
@@ -84,12 +110,19 @@ func RestoreClone(t testing.TB, src, clone protocol.Process) []byte {
 	if !ok {
 		t.Fatalf("%T does not implement protocol.Snapshotter", clone)
 	}
-	snap := s.Snapshot()
+	return s, c
+}
+
+// restoreStable restores snap into c and fails unless c re-encodes it
+// byte-identically, twice: the second encode reuses the first's buffer.
+func restoreStable(t testing.TB, c protocol.Snapshotter, snap []byte) {
+	t.Helper()
 	if err := c.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if got := c.Snapshot(); !bytes.Equal(got, snap) {
-		t.Fatalf("snapshot not stable across restore:\n got %x\nwant %x", got, snap)
+	for range 2 {
+		if got := c.Snapshot(); !bytes.Equal(got, snap) {
+			t.Fatalf("snapshot not stable across restore:\n got %x\nwant %x", got, snap)
+		}
 	}
-	return snap
 }

@@ -1,9 +1,14 @@
 package registry
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"msgorder/internal/classify"
+	"msgorder/internal/event"
+	"msgorder/internal/protocol"
+	"msgorder/internal/protocols/ptest"
 )
 
 // TestCatalogResolves pins the catalog shape: 8 protocols, resolvable
@@ -90,5 +95,70 @@ func TestRequiredRankOrdering(t *testing.T) {
 	}
 	if _, err := RequiredRank(classify.Unimplementable); err == nil {
 		t.Fatal("unimplementable class got a rank")
+	}
+}
+
+// TestKeptSnapshotRestores runs ptest.KeptSnapshotRestores for every
+// resolvable protocol: three processes exchange seeded invokes (and
+// broadcasts, for Broadcasters) over a network that hands wires over
+// in random order, so held buffers and in-flight state are part of
+// what P0 snapshots before and after its further inputs.
+func TestKeptSnapshotRestores(t *testing.T) {
+	const procs = 3
+	for _, name := range Names() {
+		e, _ := ByName(name)
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			rec := protocol.NewRecorder(procs)
+			envs := make([]*ptest.Env, procs)
+			insts := make([]protocol.Process, procs)
+			for i := range insts {
+				envs[i], insts[i] = ptest.NewEnv(event.ProcID(i), procs), e.Maker()
+				insts[i].Init(envs[i])
+			}
+			var net []protocol.Wire
+			collect := func() {
+				for _, env := range envs {
+					net = append(net, env.TakeSent()...)
+				}
+			}
+			pump := func(invokes int) {
+				for i := 0; i < invokes; i++ {
+					from := event.ProcID(rng.Intn(procs))
+					color := event.ColorNone
+					if len(e.Colors) > 0 {
+						color = e.Colors[rng.Intn(len(e.Colors))]
+					}
+					if b, ok := insts[from].(protocol.Broadcaster); ok && rng.Intn(2) == 0 {
+						var msgs []event.Message
+						for to := 0; to < procs; to++ {
+							if event.ProcID(to) != from {
+								msgs = append(msgs, rec.NewMessage(from, event.ProcID(to), color))
+							}
+						}
+						b.OnBroadcast(msgs)
+					} else {
+						to := (from + 1 + event.ProcID(rng.Intn(procs-1))) % procs
+						insts[from].OnInvoke(rec.NewMessage(from, to, color))
+					}
+					collect()
+					for k := len(net) / 2; k > 0; k-- {
+						j := rng.Intn(len(net))
+						w := net[j]
+						net[j] = net[len(net)-1]
+						net = net[:len(net)-1]
+						insts[w.To].OnReceive(w)
+						collect()
+					}
+				}
+			}
+			pump(20)
+			clone := e.Maker()
+			clone.Init(ptest.NewEnv(0, procs))
+			kept := ptest.KeptSnapshotRestores(t, insts[0], func() { pump(20) }, clone)
+			if now := insts[0].(protocol.Snapshotter).Snapshot(); name != "tagless" && bytes.Equal(now, kept) {
+				t.Fatal("P0's state did not change under the further inputs: the check proved nothing")
+			}
+		})
 	}
 }

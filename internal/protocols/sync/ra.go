@@ -5,6 +5,7 @@ import (
 
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
+	"msgorder/internal/snapio"
 	"msgorder/internal/vc"
 )
 
@@ -29,6 +30,7 @@ type RA struct {
 	reqTS      uint64
 	replies    int
 	deferred   []event.ProcID
+	snap       snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
 }
 
 // Control message types (disjoint from the sequencer's).

@@ -17,7 +17,8 @@ var (
 // queue. The queue is FIFO, so its order is state; the pending map is
 // keyed and encoded sorted.
 func (p *Process) Snapshot() []byte {
-	var w snapio.Writer
+	w := &p.snap
+	w.Reset()
 	w.Int(len(p.pending))
 	ids := make([]int, 0, len(p.pending))
 	for id := range p.pending {
@@ -69,7 +70,8 @@ func (p *Process) Restore(b []byte) error {
 // Snapshot encodes the Lamport clock, the FIFO send queue and the
 // lock-acquisition state.
 func (p *RA) Snapshot() []byte {
-	var w snapio.Writer
+	w := &p.snap
+	w.Reset()
 	w.U64(p.clock.Time())
 	w.Int(len(p.queue))
 	for _, m := range p.queue {

@@ -23,6 +23,7 @@ import (
 
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
+	"msgorder/internal/snapio"
 )
 
 // Control message types.
@@ -43,6 +44,7 @@ type Process struct {
 	// Sequencer state (only used at process 0).
 	queue []grant
 	busy  bool
+	snap  snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
 }
 
 type grant struct {

@@ -139,7 +139,10 @@ func (e *keyEnv) Send(w protocol.Wire) {
 }
 
 // domain is one ordering key's inner instance with its checkpoint
-// cache: snap is the instance's last encoding, stale while dirty.
+// cache: snap is the instance's last encoding, stale while dirty. It
+// is the instance's own buffer (protocol.Snapshotter), which stays
+// valid exactly as long as the domain stays clean: only a handler call
+// (which marks it dirty) or another Snapshot could overwrite it.
 type domain struct {
 	keyEnv
 	inst  protocol.Process
@@ -186,7 +189,7 @@ func New(maker protocol.Maker) protocol.Maker {
 	return func() protocol.Process {
 		p := &Process{maker: maker, desc: desc}
 		if snaps {
-			return &snapProcess{p}
+			return &snapProcess{Process: p}
 		}
 		return p
 	}
@@ -291,6 +294,7 @@ const snapVersion = 1
 // interface probe the crash harnesses use.
 type snapProcess struct {
 	*Process
+	blob snapio.Writer // Snapshot's encoding, kept for the next one
 }
 
 var _ protocol.Snapshotter = (*snapProcess)(nil)
@@ -298,8 +302,10 @@ var _ protocol.Snapshotter = (*snapProcess)(nil)
 // Snapshot encodes every instantiated domain, sorted by key so the
 // encoding is deterministic (the crash harness verifies recovery by
 // byte comparison). Only dirty domains are re-encoded; the rest are
-// copied from their cached encoding into one exactly-sized buffer, so
-// a checkpoint costs O(domains touched) plus one copy of the blob.
+// copied from their cached encoding into the blob buffer the process
+// keeps, so a checkpoint costs O(domains touched) plus one copy of the
+// blob, and once that buffer has grown to the blob's size it
+// allocates nothing of its own.
 func (p *snapProcess) Snapshot() []byte {
 	for _, d := range p.dirty {
 		d.snap, d.dirty = d.inst.(protocol.Snapshotter).Snapshot(), false
@@ -309,11 +315,8 @@ func (p *snapProcess) Snapshot() []byte {
 		slices.SortFunc(p.order, func(a, b *domain) int { return cmp.Compare(a.key, b.key) })
 		p.sorted = true
 	}
-	size := 1 + snapio.UvarintLen(uint64(len(p.order)))
-	for _, d := range p.order {
-		size += snapio.UvarintLen(uint64(d.key)) + snapio.BytesLen(len(d.snap))
-	}
-	w := snapio.NewWriter(size)
+	w := &p.blob
+	w.Reset()
 	w.Byte(snapVersion)
 	w.Int(len(p.order))
 	for _, d := range p.order {

@@ -15,8 +15,11 @@ import (
 )
 
 // referenceSnapshot is the encoding the cache must reproduce: every
-// live instance encoded afresh in key order, with no cache consulted
-// or disturbed — the pre-cache Snapshot, kept as the test's oracle.
+// live instance encoded afresh in key order, with no cache consulted —
+// the pre-cache Snapshot, kept as the test's oracle. Each inner
+// Snapshot reuses the buffer its instance keeps, which a clean
+// domain's cache points at, so a caller takes the cached encoding
+// before calling this.
 func referenceSnapshot(p *Process) []byte {
 	keys := make([]event.Key, 0, len(p.doms))
 	for k := range p.doms {
@@ -111,11 +114,14 @@ func runSnapshotCacheProperty(t *testing.T, inner protocol.Maker, everyStep bool
 		keys[i] = event.KeyOf(fmt.Sprintf("prop-%d-%d", seed, i))
 	}
 
-	// matches compares the cached encoding with the oracle.
+	// matches compares the cached encoding with the oracle. It copies
+	// the cached encoding out before the oracle runs: the oracle's inner
+	// Snapshot calls rewrite the buffers a clean domain's cache points
+	// at, and would otherwise refresh a stale cache in place.
 	matches := func(p *propProc) []byte {
 		t.Helper()
+		got := bytes.Clone(p.inst.Snapshot())
 		want := referenceSnapshot(p.inst.Process)
-		got := p.inst.Snapshot()
 		if !bytes.Equal(got, want) {
 			t.Fatalf("P%d: cached Snapshot (%d bytes) differs from a fresh encode (%d bytes)", p.env.self, len(got), len(want))
 		}
@@ -143,8 +149,10 @@ func runSnapshotCacheProperty(t *testing.T, inner protocol.Maker, everyStep bool
 			matches(p)
 		}
 	}
+	// checkpoint keeps a copy, as the WAL does: the encoding belongs
+	// to the instance and the next Snapshot overwrites it.
 	checkpoint := func(p *propProc) {
-		p.ckpt, p.inputs, p.env.outputs = check(p), nil, nil
+		p.ckpt, p.inputs, p.env.outputs = bytes.Clone(check(p)), nil, nil
 	}
 	// restart is the crash harness's recovery: a fresh incarnation
 	// restores the checkpoint, replays the journaled inputs with sends
@@ -222,34 +230,5 @@ func runSnapshotCacheProperty(t *testing.T, inner protocol.Maker, everyStep bool
 	}
 	if domains < 200 {
 		t.Fatalf("only %d domains instantiated, want at least 200", domains)
-	}
-}
-
-// TestSnapshotAllocsScaleWithDirtyDomains pins the cost model: with d
-// of 1000 domains dirty, Snapshot allocates what d inner encodes do
-// plus the blob — nothing per clean domain.
-func TestSnapshotAllocsScaleWithDirtyDomains(t *testing.T) {
-	const domains = 1000
-	p := New(fifo.Maker)().(*snapProcess)
-	p.Init(&stubEnv{self: 0, n: 2})
-	for i := 0; i < domains; i++ {
-		p.OnInvoke(event.Message{ID: event.MsgID(i), From: 0, To: 1, Key: event.KeyOf(fmt.Sprintf("alloc-%d", i))})
-	}
-	want := p.Snapshot()
-	inner := p.order[0].inst.(protocol.Snapshotter)
-	perDomain := testing.AllocsPerRun(100, func() { inner.Snapshot() })
-	for _, d := range []int{0, 1, 32, domains} {
-		allocs := testing.AllocsPerRun(20, func() {
-			for _, dom := range p.order[:d] {
-				p.touch(dom)
-			}
-			if got := p.Snapshot(); len(got) != len(want) {
-				t.Fatalf("snapshot is %d bytes, want %d", len(got), len(want))
-			}
-		})
-		if limit := float64(d)*perDomain + 3; allocs > limit {
-			t.Fatalf("%d dirty of %d domains: %.0f allocations, want at most %.0f (%.0f per inner encode + 3)", d, domains, allocs, limit, perDomain)
-		}
-		t.Logf("%d dirty: %.0f allocations", d, allocs)
 	}
 }

@@ -10,7 +10,6 @@ package snapio
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // ErrCorrupt reports a malformed snapshot encoding.
@@ -20,17 +19,6 @@ var ErrCorrupt = errors.New("snapio: corrupt snapshot encoding")
 type Writer struct {
 	buf []byte
 }
-
-// NewWriter returns a writer whose buffer holds n bytes before it
-// grows, for encodings whose size is known up front (UvarintLen,
-// BytesLen).
-func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
-
-// UvarintLen returns the number of bytes U64 appends for v.
-func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// BytesLen returns the number of bytes Bytes appends for an n-byte string.
-func BytesLen(n int) int { return UvarintLen(uint64(n)) + n }
 
 // U64 appends an unsigned varint.
 func (w *Writer) U64(v uint64) {
@@ -70,8 +58,12 @@ func (w *Writer) Bytes(b []byte) {
 // Out returns the accumulated encoding.
 func (w *Writer) Out() []byte { return w.buf }
 
-// Reset truncates the writer for reuse, keeping the backing buffer —
-// the pooling hook for hot encode paths (the mesh's frame codec).
+// Reset truncates the writer for reuse, keeping the backing buffer, so
+// an encoder that keeps its Writer allocates only when an encoding
+// outgrows every earlier one. It is the one idiom of every encode path
+// that runs more than once: the mesh's pooled frame codec and every
+// Snapshot or SnapshotState, whose returned Out stays valid until the
+// owner's next Reset.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
 // Reader decodes a snapshot encoding. Methods keep returning zero

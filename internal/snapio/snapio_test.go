@@ -80,24 +80,17 @@ func TestWriterPanicsOnNegativeInt(t *testing.T) {
 	w.Int(-1)
 }
 
-// TestSizeHelpersMatchWriter holds UvarintLen and BytesLen to what the
-// Writer appends, across every varint length boundary, so a NewWriter
-// sized by them never regrows.
-func TestSizeHelpersMatchWriter(t *testing.T) {
-	for shift := 0; shift < 64; shift++ {
-		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
-			var w Writer
-			w.U64(v)
-			if got := UvarintLen(v); got != len(w.Out()) {
-				t.Fatalf("UvarintLen(%d) = %d, U64 appends %d", v, got, len(w.Out()))
-			}
-		}
-	}
-	for _, n := range []int{0, 1, 127, 128, 16383, 16384} {
-		w := NewWriter(BytesLen(n))
-		w.Bytes(make([]byte, n))
-		if len(w.Out()) != BytesLen(n) || cap(w.Out()) != BytesLen(n) {
-			t.Fatalf("BytesLen(%d) = %d, Bytes appends %d into cap %d", n, BytesLen(n), len(w.Out()), cap(w.Out()))
-		}
+// TestResetKeepsBuffer pins the reuse every kept Writer relies on: an
+// encoding no longer than an earlier one, written after Reset, lands in
+// the same backing array.
+func TestResetKeepsBuffer(t *testing.T) {
+	var w Writer
+	w.Bytes(make([]byte, 300))
+	first := w.Out()
+	w.Reset()
+	w.Int(7)
+	w.Bytes(make([]byte, 200))
+	if got := w.Out(); &got[0] != &first[0] || len(got) != 1+2+200 {
+		t.Fatalf("after Reset: %d bytes, same backing array %v", len(got), &got[0] == &first[0])
 	}
 }

@@ -577,6 +577,13 @@ type Reliable struct {
 	counts   Counters
 	progress uint64
 
+	// snap, chans, seqs and pks are SnapshotState's encoding and sort
+	// scratch, kept for the next call.
+	snap  snapio.Writer
+	chans []chanKey
+	seqs  []uint64
+	pks   []pendKey
+
 	// wake is signalled (buffered, capacity one) when pending goes from
 	// empty to non-empty, so the parked retransmission loop resumes.
 	wake chan struct{}
@@ -819,64 +826,48 @@ func (r *Reliable) MarkAccepted(src, dst event.ProcID, seq uint64) {
 // envelopes with their full wire payloads. Equal states always encode
 // to equal bytes (all traversals are sorted), so checkpoints can be
 // compared byte-for-byte. Counters, deadlines and peer-down marks are
-// transient and excluded.
+// transient and excluded. The encoding and its sort scratch are kept
+// for the next call, so a warm snapshot allocates nothing: the returned
+// bytes belong to the Reliable and stay valid until the next
+// SnapshotState, and a caller that keeps them must copy them.
 func (r *Reliable) SnapshotState() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	w := &snapio.Writer{}
+	w := &r.snap
+	w.Reset()
 	w.Byte(stateVersion)
-	chans := func(m map[chanKey]uint64) []chanKey {
-		ks := make([]chanKey, 0, len(m))
-		for k := range m {
-			ks = append(ks, k)
-		}
-		sortChans(ks)
-		return ks
-	}
-	nextChans := chans(r.next)
-	w.Int(len(nextChans))
-	for _, ch := range nextChans {
-		w.Int(int(ch[0]))
-		w.Int(int(ch[1]))
-		w.U64(r.next[ch])
-	}
-	cumChans := chans(r.cum)
-	w.Int(len(cumChans))
-	for _, ch := range cumChans {
-		w.Int(int(ch[0]))
-		w.Int(int(ch[1]))
-		w.U64(r.cum[ch])
-	}
-	var seenChans []chanKey
+	r.writeChanCounts(r.next)
+	r.writeChanCounts(r.cum)
+	r.chans = r.chans[:0]
 	for ch, s := range r.seen {
 		if len(s) > 0 {
-			seenChans = append(seenChans, ch)
+			r.chans = append(r.chans, ch)
 		}
 	}
-	sortChans(seenChans)
-	w.Int(len(seenChans))
-	for _, ch := range seenChans {
-		seqs := make([]uint64, 0, len(r.seen[ch]))
+	sortChans(r.chans)
+	w.Int(len(r.chans))
+	for _, ch := range r.chans {
+		r.seqs = r.seqs[:0]
 		for seq := range r.seen[ch] {
-			seqs = append(seqs, seq)
+			r.seqs = append(r.seqs, seq)
 		}
-		slices.Sort(seqs)
+		slices.Sort(r.seqs)
 		w.Int(int(ch[0]))
 		w.Int(int(ch[1]))
-		w.Int(len(seqs))
-		for _, seq := range seqs {
+		w.Int(len(r.seqs))
+		for _, seq := range r.seqs {
 			w.U64(seq)
 		}
 	}
-	pks := make([]pendKey, 0, len(r.pending))
+	r.pks = r.pks[:0]
 	for k := range r.pending {
-		pks = append(pks, k)
+		r.pks = append(r.pks, k)
 	}
-	slices.SortFunc(pks, func(a, b pendKey) int {
+	slices.SortFunc(r.pks, func(a, b pendKey) int {
 		return cmp.Or(slices.Compare(a.ch[:], b.ch[:]), cmp.Compare(a.seq, b.seq))
 	})
-	w.Int(len(pks))
-	for _, k := range pks {
+	w.Int(len(r.pks))
+	for _, k := range r.pks {
 		tx := r.pending[k]
 		w.Int(int(tx.env.Src))
 		w.Int(int(tx.env.Dst))
@@ -885,6 +876,22 @@ func (r *Reliable) SnapshotState() []byte {
 		appendWireState(w, tx.env.Wire)
 	}
 	return w.Out()
+}
+
+// writeChanCounts encodes a per-channel counter map in channel order.
+// Caller holds mu.
+func (r *Reliable) writeChanCounts(m map[chanKey]uint64) {
+	r.chans = r.chans[:0]
+	for ch := range m {
+		r.chans = append(r.chans, ch)
+	}
+	sortChans(r.chans)
+	r.snap.Int(len(r.chans))
+	for _, ch := range r.chans {
+		r.snap.Int(int(ch[0]))
+		r.snap.Int(int(ch[1]))
+		r.snap.U64(m[ch])
+	}
 }
 
 // RestoreState rebuilds the durable state captured by SnapshotState
