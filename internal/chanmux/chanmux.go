@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -172,43 +173,52 @@ func New(cfg Config) (*Mux, error) {
 	return m, nil
 }
 
-// receive demultiplexes one arriving batch: envelopes are grouped by
-// channel ID (preserving per-channel arrival order) and handed to each
-// channel's node; envelopes for unopened channels are dropped and
-// counted.
+// demuxScratch lends receive a slice to gather one channel's share of
+// a mixed batch into; the node's inbox copies it before it goes back.
+var demuxScratch = sync.Pool{New: func() any { return new([]transport.Envelope) }}
+
+// receive demultiplexes one arriving batch: each channel's envelopes
+// (in arrival order) go to its node as one batch — one inbox item, so
+// one cumulative ack per source, per (frame, channel) — and envelopes
+// for unopened channels are dropped and counted.
 func (m *Mux) receive(envs []transport.Envelope) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	// Fast path: the whole batch is one channel (common — batches are
 	// per-connection and traffic is often bursty per tenant).
-	uniform := true
-	for i := 1; i < len(envs); i++ {
-		if envs[i].Chan != envs[0].Chan {
-			uniform = false
-			break
-		}
-	}
-	if uniform {
-		if len(envs) == 0 {
-			return
-		}
-		if ch := m.byID[envs[0].Chan]; ch != nil {
-			ch.node.HandleEnvelopes(envs)
-		} else {
-			m.unknownDrops.Add(uint64(len(envs)))
+	if !slices.ContainsFunc(envs, func(e transport.Envelope) bool { return e.Chan != envs[0].Chan }) {
+		if len(envs) > 0 {
+			m.handOff(envs[0].Chan, envs)
 		}
 		return
 	}
-	split := make(map[uint32][]transport.Envelope)
-	for _, e := range envs {
-		split[e.Chan] = append(split[e.Chan], e)
-	}
-	for id, part := range split {
-		if ch := m.byID[id]; ch != nil {
-			ch.node.HandleEnvelopes(part)
-		} else {
-			m.unknownDrops.Add(uint64(len(part)))
+	// Mixed: one pass per distinct channel, in order of first arrival.
+	scratch := demuxScratch.Get().(*[]transport.Envelope)
+	for i, e := range envs {
+		id := e.Chan
+		if slices.ContainsFunc(envs[:i], func(p transport.Envelope) bool { return p.Chan == id }) {
+			continue // its channel's pass already ran
 		}
+		part := (*scratch)[:0]
+		for _, f := range envs[i:] {
+			if f.Chan == id {
+				part = append(part, f)
+			}
+		}
+		m.handOff(id, part)
+		clear(part)
+		*scratch = part
+	}
+	demuxScratch.Put(scratch)
+}
+
+// handOff gives one channel's share of a batch to its node, or counts
+// it dropped if the channel is not open here. Caller holds mu.RLock.
+func (m *Mux) handOff(id uint32, part []transport.Envelope) {
+	if ch := m.byID[id]; ch != nil {
+		ch.node.HandleEnvelopes(part)
+	} else {
+		m.unknownDrops.Add(uint64(len(part)))
 	}
 }
 

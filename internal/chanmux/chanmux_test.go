@@ -5,11 +5,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"msgorder/internal/event"
 	"msgorder/internal/netmesh"
+	"msgorder/internal/protocol"
 	"msgorder/internal/transport"
 )
 
@@ -290,5 +292,52 @@ func TestChannelIDDeterministicAndReserved(t *testing.T) {
 		if ChannelID(name) == DefaultChan {
 			t.Fatalf("ChannelID(%q) hit the reserved default channel", name)
 		}
+	}
+}
+
+// TestMixedBatchDemuxesPerChannel hands one peer's mux a batch that
+// interleaves two open channels with an unopened one, then overwrites
+// the batch. Each open channel delivers its own envelopes, unchanged
+// and in order, and acknowledges them with a single cumulative ack —
+// its share of the batch reached its node as one batch — while the
+// unopened channel's envelopes count as unknown drops.
+func TestMixedBatchDemuxesPerChannel(t *testing.T) {
+	muxes := startMuxes(t, 2, nil)
+	a := openAll(t, muxes, Spec{Name: "a"})
+	b := openAll(t, muxes, Spec{Name: "b"})
+	const unopened = 12345
+	var batch []transport.Envelope
+	for i := 0; i < 9; i++ {
+		id := []uint32{a[1].ID(), b[1].ID(), unopened}[i%3]
+		batch = append(batch, transport.Envelope{Src: 0, Dst: 1, Kind: transport.Data, Chan: id,
+			Seq: uint64(i/3 + 1), Wire: protocol.Wire{From: 0, To: 1, Kind: protocol.UserWire, Msg: event.MsgID(i)}})
+	}
+	muxes[1].receive(batch)
+	for i := range batch {
+		batch[i].Wire.Msg = 999
+	}
+	for _, c := range []struct {
+		ch   []*Channel
+		want []event.MsgID
+	}{{a, []event.MsgID{0, 3, 6}}, {b, []event.MsgID{1, 4, 7}}} {
+		if err := c.ch[1].WaitDeliveries(3, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.ch[1].Deliveries(); !slices.Equal(got, c.want) {
+			t.Fatalf("channel %s delivered %v, want %v", c.ch[1].Name(), got, c.want)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for c.ch[0].TransportCounters().AcksReceived == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // room for any further ack to arrive
+	for _, ch := range []*Channel{a[0], b[0]} {
+		if n := ch.TransportCounters().AcksReceived; n != 1 {
+			t.Errorf("channel %s: %d acks for its 3-envelope share, want 1 cumulative ack", ch.Name(), n)
+		}
+	}
+	if n := muxes[1].UnknownDrops(); n != 3 {
+		t.Errorf("unknown drops = %d, want 3", n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -55,7 +56,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	for name, envs := range runs {
 		enc := getEncoder()
 		payload := encodeBatch(enc, envs)
-		got, err := decodeBatch(payload, &arena)
+		got, err := decodeBatch(nil, payload, &arena)
 		putEncoder(enc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -109,7 +110,7 @@ func TestDecodeBatchRejectsCorrupt(t *testing.T) {
 	cases = append(cases, append([]byte(nil), enc3.Out()...))
 	putEncoder(enc3)
 	for i, b := range cases {
-		if _, err := decodeBatch(b, new([]uint64)); err == nil {
+		if _, err := decodeBatch(nil, b, new([]uint64)); err == nil {
 			t.Fatalf("case %d: decodeBatch accepted corrupt input %v", i, b)
 		}
 	}
@@ -218,7 +219,7 @@ func TestAckPipelineDedupAfterDuplicatedBatch(t *testing.T) {
 			Wire: protocol.Wire{From: 0, To: 1, Kind: protocol.UserWire, Msg: id}}
 	}
 	inject := func(envs ...transport.Envelope) {
-		nodes[1].q.push(nodeItem{kind: itemBatch, envs: envs})
+		nodes[1].q.push(nodeItem{kind: itemBatch}, envs)
 	}
 
 	// A batch with a gap: seqs 2,3 arrive before 1. The cumulative mark
@@ -267,10 +268,13 @@ func TestAckPipelineDedupAfterDuplicatedBatch(t *testing.T) {
 
 // TestCodecPoolNeverAliasesDecodedEnvelopes is the -race soak for the
 // pooled-buffer path: many goroutines check encoders out, encode,
-// decode, return the encoder, and only then verify the decoded
-// envelopes — if decodeBatch left anything aliasing the pooled buffer,
-// a concurrent reuse corrupts it and the comparison (or the race
-// detector) fails.
+// decode into a slice each keeps (as a connection keeps one), return
+// the encoder, and only then verify the decoded envelopes — if
+// decodeBatch left anything aliasing the pooled buffer, a concurrent
+// reuse corrupts it and the comparison (or the race detector) fails.
+// Each round's consumer keeps a copy of the decoded batch, as the
+// inbox does; the next round's decode into the same slice must leave
+// that copy untouched.
 func TestCodecPoolNeverAliasesDecodedEnvelopes(t *testing.T) {
 	const goroutines, rounds = 8, 300
 	var wg sync.WaitGroup
@@ -281,17 +285,20 @@ func TestCodecPoolNeverAliasesDecodedEnvelopes(t *testing.T) {
 			defer wg.Done()
 			var prev []transport.Envelope
 			var prevWant []transport.Envelope
-			var arena []uint64 // one per goroutine, as one per connection
+			var arena []uint64           // one per goroutine, as one per connection
+			var dec []transport.Envelope // likewise the decode slice
 			for i := 0; i < rounds; i++ {
 				want := batchEnvs(g, 1+i%9)
 				enc := getEncoder()
 				payload := encodeBatch(enc, want)
-				got, err := decodeBatch(payload, &arena)
-				putEncoder(enc) // encoder back in the pool before we look at got
+				var err error
+				dec, err = decodeBatch(dec[:0], payload, &arena)
+				putEncoder(enc) // encoder back in the pool before we look at the result
 				if err != nil {
 					errs <- err
 					return
 				}
+				got := slices.Clone(dec) // the consumer's copy
 				if !reflect.DeepEqual(got, want) {
 					errs <- fmt.Errorf("g%d round %d: decoded batch corrupted", g, i)
 					return
@@ -337,7 +344,7 @@ func TestReadFrameIntoReusesBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var arena []uint64
-	got1, err := decodeBatch(buf, &arena)
+	got1, err := decodeBatch(nil, buf, &arena)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +355,7 @@ func TestReadFrameIntoReusesBuffer(t *testing.T) {
 	if &buf[0] != &buf2[0] {
 		t.Error("second frame did not reuse the read buffer")
 	}
-	got2, err := decodeBatch(buf2, &arena)
+	got2, err := decodeBatch(nil, buf2, &arena)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,10 +305,11 @@ func encodeBatch(w *snapio.Writer, envs []transport.Envelope) []byte {
 	return w.Out()
 }
 
-// decodeBatch parses a batch frame payload (kind byte included) into a
-// freshly allocated slice — the receiver's inbox retains it, so it must
-// not alias any reusable buffer. VC stamps are carved from *arena.
-func decodeBatch(b []byte, arena *[]uint64) ([]transport.Envelope, error) {
+// decodeBatch parses a batch frame payload (kind byte included),
+// appending its envelopes to dst — the connection's kept slice, passed
+// as dst[:0] — and returns the extended slice. The envelopes never
+// alias b (see decodeEnvelopeBody); VC stamps are carved from *arena.
+func decodeBatch(dst []transport.Envelope, b []byte, arena *[]uint64) ([]transport.Envelope, error) {
 	r := snapio.NewReader(b)
 	if r.Byte() != frameBatch {
 		return nil, errCorruptFrame
@@ -320,16 +321,12 @@ func decodeBatch(b []byte, arena *[]uint64) ([]transport.Envelope, error) {
 	if n <= 0 || n > maxBatch {
 		return nil, fmt.Errorf("%w: %d-envelope batch", errCorruptFrame, n)
 	}
-	envs := make([]transport.Envelope, 0, n)
 	for i := 0; i < n; i++ {
 		e, err := decodeEnvelopeBody(r, arena)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		envs = append(envs, e)
+		dst = append(dst, e)
 	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return envs, nil
+	return dst, r.Close()
 }

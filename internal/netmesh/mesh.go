@@ -310,7 +310,9 @@ type Mesh struct {
 // Arriving envelopes addressed to Self are handed to rcv in arrival
 // batches (one batch per decoded frame), one goroutine per inbound
 // connection; rcv must be concurrency-safe and non-blocking (hand off
-// to a queue), and it owns the slice it is given.
+// to a queue). The slice is lent: the mesh decodes the connection's
+// next frame into it, so rcv must not retain envs after it returns
+// (copy what it keeps).
 func NewMesh(cfg MeshConfig, rcv func([]transport.Envelope)) (*Mesh, error) {
 	cfg = cfg.withDefaults()
 	if int(cfg.Self) < 0 || int(cfg.Self) >= len(cfg.Addrs) {
@@ -362,12 +364,20 @@ func (m *Mesh) Rejected() error {
 	return m.rejected
 }
 
+// loopback lends Send the one-element slice it hands rcv for an
+// envelope addressed to Self; rcv copies what it keeps.
+var loopback = sync.Pool{New: func() any { return new([1]transport.Envelope) }}
+
 // Send queues an envelope for its destination. It never blocks; on a
 // dead connection the envelope is lost and the reliable sublayer above
 // retransmits. Envelopes addressed to Self loop back without a socket.
 func (m *Mesh) Send(e transport.Envelope) {
 	if e.Dst == m.cfg.Self {
-		m.rcv([]transport.Envelope{e})
+		one := loopback.Get().(*[1]transport.Envelope)
+		one[0] = e
+		m.rcv(one[:])
+		one[0] = transport.Envelope{}
+		loopback.Put(one)
 		return
 	}
 	box, ok := m.boxes[e.Dst]
@@ -485,32 +495,36 @@ func (m *Mesh) serveConn(conn net.Conn) {
 	}
 	m.count(func(c *Counters) { c.Accepted++ })
 	m.cfg.Obs.Count("netmesh.accepted", 1)
-	var rbuf []byte    // reused across frames; decoders copy out of it
-	var arena []uint64 // VC stamps are carved from it; chunks outlive frames
+	var rbuf []byte               // reused across frames; decoders copy out of it
+	var arena []uint64            // VC stamps are carved from it; chunks outlive frames
+	var envs []transport.Envelope // each frame decodes into it; rcv copies what it keeps
 	for {
 		payload, err := readFrameInto(br, rbuf)
 		if err != nil {
 			return
 		}
 		rbuf = payload
-		var envs []transport.Envelope
 		switch {
 		case len(payload) > 0 && payload[0] == frameBatch:
-			envs, err = decodeBatch(payload, &arena)
+			envs, err = decodeBatch(envs[:0], payload, &arena)
 		default:
 			var e transport.Envelope
 			if e, err = decodeEnvelope(payload, &arena); err == nil {
-				envs = []transport.Envelope{e}
+				envs = append(envs[:0], e)
 			}
 		}
 		if err != nil {
 			m.trace(obs.OpDrop, fmt.Sprintf("corrupt frame from P%d: %v", h.Proc, err))
 			return
 		}
-		// Misrouted envelopes are dropped, as the unbatched path did.
+		// A connection carries its handshaken peer's envelopes to Self:
+		// misrouted ones and ones claiming another sender are dropped.
+		// Every sender stamps its own Self, so a foreign Src is corrupt or
+		// forged, and accepting it would open transport state (and draw
+		// acks) for a process this connection does not speak for.
 		kept := envs[:0]
 		for _, e := range envs {
-			if e.Dst == m.cfg.Self {
+			if e.Dst == m.cfg.Self && e.Src == h.Proc {
 				kept = append(kept, e)
 			}
 		}
@@ -522,6 +536,7 @@ func (m *Mesh) serveConn(conn net.Conn) {
 		if len(kept) > 0 {
 			m.rcv(kept)
 		}
+		clear(envs) // the kept slice must not pin a frame's payloads
 	}
 }
 

@@ -111,17 +111,25 @@ const (
 )
 
 type nodeItem struct {
-	kind     int
-	msg      event.Message
-	envs     []transport.Envelope
+	kind int
+	msg  event.Message
+	// envs counts an itemBatch's envelopes: the next envs of the
+	// inbox's flat envelope queue.
+	envs     int
 	downtime time.Duration
 }
 
-// inbox is the node's unbounded input queue; close drains first.
+// inbox is the node's unbounded input queue; close drains first. A
+// batch's envelopes are copied into one flat queue the inbox keeps, so
+// a caller may reuse its slice once push returns. The handler takes
+// everything queued at once and hands the arrays it took back on its
+// next take, cleared: a double buffer whose capacity is reused, so a
+// warm inbox allocates nothing.
 type inbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  []nodeItem
+	envs   []transport.Envelope
 	closed bool
 }
 
@@ -131,11 +139,16 @@ func newInbox() *inbox {
 	return q
 }
 
-func (q *inbox) push(it nodeItem) bool {
+// push queues it; for an itemBatch, envs are its envelopes.
+func (q *inbox) push(it nodeItem, envs []transport.Envelope) bool {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
 		return false
+	}
+	if it.kind == itemBatch {
+		q.envs = append(q.envs, envs...)
+		it.envs = len(envs)
 	}
 	q.items = append(q.items, it)
 	q.mu.Unlock()
@@ -143,18 +156,24 @@ func (q *inbox) push(it nodeItem) bool {
 	return true
 }
 
-func (q *inbox) pop() (nodeItem, bool) {
+// take blocks until something is queued (or the inbox is closed and
+// drained, when it reports false), then swaps the whole queue out for
+// the arrays of the previous take, which it clears so they pin no
+// payload.
+func (q *inbox) take(items []nodeItem, envs []transport.Envelope) ([]nodeItem, []transport.Envelope, bool) {
+	clear(items)
+	clear(envs)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
 		q.cond.Wait()
 	}
 	if len(q.items) == 0 {
-		return nodeItem{}, false
+		return items[:0], envs[:0], false
 	}
-	it := q.items[0]
-	q.items = q.items[1:]
-	return it, true
+	items, q.items = q.items, items[:0]
+	envs, q.envs = q.envs, envs[:0]
+	return items, envs, true
 }
 
 func (q *inbox) close() {
@@ -185,6 +204,10 @@ type Node struct {
 	host        *host.Host
 	down        bool
 	heldInvokes []event.Message // invokes arriving during downtime
+	// ackHi is handleBatch's per-source scratch, indexed by ProcID:
+	// 1 + the batch index of the source's highest-sequence data
+	// envelope, 0 for none. Zero between batches.
+	ackHi []int32
 
 	// downPub mirrors the handler goroutine's down flag for the beat
 	// goroutine: a crashed incarnation must fall silent.
@@ -274,7 +297,7 @@ func newNode(cfg NodeConfig, send func(transport.Envelope)) (*Node, error) {
 	if cfg.Procs <= 0 || int(cfg.Self) < 0 || int(cfg.Self) >= cfg.Procs {
 		return nil, fmt.Errorf("netmesh: bad node identity %d/%d", cfg.Self, cfg.Procs)
 	}
-	n := &Node{cfg: cfg, q: newInbox(), send: send}
+	n := &Node{cfg: cfg, q: newInbox(), send: send, ackHi: make([]int32, cfg.Procs)}
 	n.progress = sync.NewCond(&n.mu)
 	if cfg.Tracer != nil || cfg.Metrics != nil {
 		start := time.Now()
@@ -323,9 +346,7 @@ func newNode(cfg NodeConfig, send func(transport.Envelope)) (*Node, error) {
 		if inj := mcfg.Injector; inj != nil && n.sink != nil {
 			inj.Observe(n.sink)
 		}
-		mesh, err := NewMesh(mcfg, func(envs []transport.Envelope) {
-			n.q.push(nodeItem{kind: itemBatch, envs: envs})
-		})
+		mesh, err := NewMesh(mcfg, n.HandleEnvelopes)
 		if err != nil {
 			n.wal.Close()
 			return nil, err
@@ -443,11 +464,12 @@ func (n *Node) Addr() string {
 	return n.mesh.Addr()
 }
 
-// HandleEnvelopes feeds arriving envelopes into the node's inbox: the
-// entry point a channel-multiplexing host uses after demultiplexing a
-// frame batch by channel ID. The node takes ownership of the slice.
+// HandleEnvelopes feeds arriving envelopes into the node's inbox as one
+// batch: the entry point a channel-multiplexing host uses after
+// demultiplexing a frame batch by channel ID. The inbox copies the
+// envelopes, so the caller may reuse envs once the call returns.
 func (n *Node) HandleEnvelopes(envs []transport.Envelope) {
-	n.q.push(nodeItem{kind: itemBatch, envs: envs})
+	n.q.push(nodeItem{kind: itemBatch}, envs)
 }
 
 // Self returns the hosted process's ID.
@@ -471,7 +493,7 @@ func (n *Node) Invoke(m event.Message) error {
 	if int(m.To) < 0 || int(m.To) >= n.cfg.Procs || m.To == m.From {
 		return fmt.Errorf("%w: invoke of m%d to %d", ErrProtocol, m.ID, m.To)
 	}
-	if !n.q.push(nodeItem{kind: itemInvoke, msg: m}) {
+	if !n.q.push(nodeItem{kind: itemInvoke, msg: m}, nil) {
 		return ErrClosed
 	}
 	return nil
@@ -486,7 +508,7 @@ func (n *Node) Crash(downtime time.Duration) error {
 	if downtime <= 0 {
 		downtime = 25 * time.Millisecond
 	}
-	if !n.q.push(nodeItem{kind: itemCrash, downtime: downtime}) {
+	if !n.q.push(nodeItem{kind: itemCrash, downtime: downtime}, nil) {
 		return ErrClosed
 	}
 	return nil
@@ -617,27 +639,34 @@ func (n *Node) fail(err error) {
 	n.progress.Broadcast()
 }
 
-// run is the handler loop: one item at a time, per-process serialized.
+// run is the handler loop: one item at a time, in inbox order,
+// per-process serialized.
 func (n *Node) run() {
 	defer n.wg.Done()
+	var items []nodeItem
+	var envs []transport.Envelope
 	for {
-		it, ok := n.q.pop()
-		if !ok {
+		var ok bool
+		if items, envs, ok = n.q.take(items, envs); !ok {
 			return
 		}
-		switch it.kind {
-		case itemInvoke:
-			if n.down {
-				n.heldInvokes = append(n.heldInvokes, it.msg)
-				continue
+		off := 0
+		for _, it := range items {
+			switch it.kind {
+			case itemInvoke:
+				if n.down {
+					n.heldInvokes = append(n.heldInvokes, it.msg)
+					continue
+				}
+				n.doInvoke(it.msg)
+			case itemBatch:
+				n.handleBatch(envs[off : off+it.envs])
+				off += it.envs
+			case itemCrash:
+				n.doCrash(it.downtime)
+			case itemRestart:
+				n.doRestart()
 			}
-			n.doInvoke(it.msg)
-		case itemBatch:
-			n.handleBatch(it.envs)
-		case itemCrash:
-			n.doCrash(it.downtime)
-		case itemRestart:
-			n.doRestart()
 		}
 	}
 }
@@ -656,13 +685,13 @@ func (n *Node) doInvoke(m event.Message) {
 // highest sequence number plus the whole contiguous prefix, and only
 // sequence numbers the cumulative ack does not cover get an exact ack
 // of their own — so an N-envelope batch usually costs one ack frame,
-// not N.
+// not N. The bookkeeping lives in ackHi, so a batch allocates nothing.
 func (n *Node) handleBatch(envs []transport.Envelope) {
 	// hi tracks, per source, the batch's data envelope with the highest
-	// sequence number: the one the cumulative ack is minted from.
-	var hi map[event.ProcID]transport.Envelope
-	var rest []transport.Envelope
-	for _, e := range envs {
+	// sequence number (as 1 + its index): the one the cumulative ack is
+	// minted from.
+	hi := n.ackHi
+	for i, e := range envs {
 		switch e.Kind {
 		case transport.Ack:
 			n.tr.Ack(e)
@@ -676,36 +705,38 @@ func (n *Node) handleBatch(envs []transport.Envelope) {
 				det.Beat(e.Src)
 			}
 		case transport.Data:
-			if n.down {
+			// No process outside the mesh sends: drop what claims to.
+			if n.down || uint(e.Src) >= uint(len(hi)) {
 				continue
 			}
 			fresh := n.tr.Accept(e)
-			if hi == nil {
-				hi = make(map[event.ProcID]transport.Envelope, 2)
-			}
-			if cur, ok := hi[e.Src]; !ok || e.Seq > cur.Seq {
-				if ok {
-					rest = append(rest, cur)
-				}
-				hi[e.Src] = e
-			} else {
-				rest = append(rest, e)
+			if j := hi[e.Src]; j == 0 || e.Seq > envs[j-1].Seq {
+				hi[e.Src] = int32(i + 1)
 			}
 			if fresh {
 				n.host.Receive(e.Wire, e.Seq)
 			}
 		}
 	}
-	// Always (re-)acknowledge — the previous ack may have been lost.
-	for _, e := range hi {
-		n.send(n.tr.CumAckFor(e))
+	if n.down {
+		return
 	}
-	for _, e := range rest {
+	// Always (re-)acknowledge — the previous ack may have been lost.
+	for _, j := range hi {
+		if j != 0 {
+			n.send(n.tr.CumAckFor(envs[j-1]))
+		}
+	}
+	for i, e := range envs {
+		if e.Kind != transport.Data || uint(e.Src) >= uint(len(hi)) || int(hi[e.Src]) == i+1 {
+			continue
+		}
 		if e.Seq > n.tr.CumFor(e) {
 			// A gap the cumulative ack can't cover yet: ack it exactly.
 			n.send(transport.AckFor(e))
 		}
 	}
+	clear(hi)
 }
 
 func (n *Node) doCrash(downtime time.Duration) {
@@ -723,7 +754,7 @@ func (n *Node) doCrash(downtime time.Duration) {
 		return
 	}
 	t := time.AfterFunc(downtime, func() {
-		n.q.push(nodeItem{kind: itemRestart})
+		n.q.push(nodeItem{kind: itemRestart}, nil)
 	})
 	n.mu.Lock()
 	n.timers = append(n.timers, t)

@@ -31,3 +31,30 @@ func TestSnapshotStateAllocationBudget(t *testing.T) {
 		t.Fatalf("warm SnapshotState: %.0f allocations, want 0", allocs)
 	}
 }
+
+// TestWrapAckAllocationBudget pins the per-envelope reliable path at
+// zero allocations once warm: a sender's Wrap fills a retired slab
+// slot, the receiver's Accept and CumAckFor touch only its existing
+// tables, and the sender's cumulative Ack retires the window back to
+// the free list.
+func TestWrapAckAllocationBudget(t *testing.T) {
+	tx, rx := quietReliable(t), quietReliable(t)
+	const window = 8
+	envs := make([]Envelope, window)
+	cycle := func() {
+		for i := range envs {
+			envs[i] = tx.Wrap(0, 1, wire(event.MsgID(i)))
+		}
+		for _, e := range envs {
+			rx.Accept(e)
+		}
+		tx.Ack(rx.CumAckFor(envs[window-1]))
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("warm Wrap → Accept → CumAckFor → Ack: %.1f allocations per %d envelopes, want 0", allocs, window)
+	}
+	if n := tx.Pending(); n != 0 {
+		t.Fatalf("%d envelopes still pending after the cumulative acks", n)
+	}
+}

@@ -544,6 +544,10 @@ type pendKey struct {
 	seq uint64
 }
 
+// pendingTx is one unacknowledged data envelope. The records live in a
+// slab (Reliable.txs) that the pending table indexes: a retired slot is
+// zeroed, so it pins no wire payload, and goes on the free list for the
+// next Wrap, so a warm send path allocates no record.
 type pendingTx struct {
 	env      Envelope
 	deadline time.Time
@@ -559,9 +563,13 @@ type Reliable struct {
 	cfg  Config
 	send func(Envelope)
 
-	mu      sync.Mutex
-	next    map[chanKey]uint64
-	pending map[pendKey]*pendingTx
+	mu   sync.Mutex
+	next map[chanKey]uint64
+	// pending maps each unacknowledged envelope to its slot in txs;
+	// free lists the retired slots Wrap fills first.
+	pending map[pendKey]int32
+	txs     []pendingTx
+	free    []int32
 	// acked is the sender-side low-water mark per channel: the highest
 	// cumulative mark an Ack has processed. Nothing pending on the
 	// channel has a sequence number at or below it, so the next
@@ -600,7 +608,7 @@ func NewReliable(cfg Config, send func(Envelope)) *Reliable {
 		cfg:     cfg.withDefaults(),
 		send:    send,
 		next:    make(map[chanKey]uint64),
-		pending: make(map[pendKey]*pendingTx),
+		pending: make(map[pendKey]int32),
 		acked:   make(map[chanKey]uint64),
 		seen:    make(map[chanKey]map[uint64]struct{}),
 		cum:     make(map[chanKey]uint64),
@@ -622,10 +630,15 @@ func (r *Reliable) Wrap(from, to event.ProcID, w protocol.Wire) Envelope {
 	r.next[ch]++
 	env := Envelope{Src: from, Dst: to, Kind: Data, Seq: r.next[ch], Wire: w}
 	wasIdle := len(r.pending) == 0
-	r.pending[pendKey{ch, env.Seq}] = &pendingTx{
-		env:      env,
-		deadline: time.Now().Add(r.cfg.RTO),
+	var i int32
+	if n := len(r.free); n > 0 {
+		i, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		i = int32(len(r.txs))
+		r.txs = append(r.txs, pendingTx{})
 	}
+	r.txs[i] = pendingTx{env: env, deadline: time.Now().Add(r.cfg.RTO)}
+	r.pending[pendKey{ch, env.Seq}] = i
 	r.counts.Sent++
 	r.progress++
 	if wasIdle {
@@ -648,7 +661,7 @@ func (r *Reliable) Ack(a Envelope) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ch := chanKey{a.Dst, a.Src}
-	delete(r.pending, pendKey{ch, a.Seq})
+	r.retire(pendKey{ch, a.Seq})
 	// Nothing above next[ch] was ever sent, so a mark beyond it retires
 	// no more than next[ch] does — and must not outrun later Wraps.
 	cum := min(a.Cum, r.next[ch])
@@ -657,12 +670,12 @@ func (r *Reliable) Ack(a Envelope) {
 		if cum-low > uint64(before) {
 			for k := range r.pending {
 				if k.ch == ch && k.seq <= cum {
-					delete(r.pending, k)
+					r.retire(k)
 				}
 			}
 		} else {
 			for seq := low + 1; seq <= cum; seq++ {
-				delete(r.pending, pendKey{ch, seq})
+				r.retire(pendKey{ch, seq})
 			}
 		}
 		r.counts.CumAcked += before - len(r.pending)
@@ -670,6 +683,18 @@ func (r *Reliable) Ack(a Envelope) {
 	}
 	r.counts.AcksReceived++
 	r.progress++
+}
+
+// retire drops k from the pending table, if present, and hands its
+// slot back zeroed. Caller holds mu.
+func (r *Reliable) retire(k pendKey) {
+	i, ok := r.pending[k]
+	if !ok {
+		return
+	}
+	delete(r.pending, k)
+	r.txs[i] = pendingTx{}
+	r.free = append(r.free, i)
 }
 
 // Accept runs receiver-side dedup on an arriving data envelope and
@@ -755,9 +780,9 @@ func (r *Reliable) PeerUp(p event.ProcID) {
 	}
 	delete(r.down, p)
 	now := time.Now()
-	for k, tx := range r.pending {
+	for k, i := range r.pending {
 		if k.ch[1] == p {
-			tx.deadline = now
+			r.txs[i].deadline = now
 		}
 	}
 	r.progress++
@@ -781,7 +806,7 @@ func (r *Reliable) CancelTo(p event.ProcID) int {
 		if !inSeen && k.seq > r.cum[k.ch] {
 			lost++
 		}
-		delete(r.pending, k)
+		r.retire(k)
 	}
 	r.progress++
 	return lost
@@ -868,7 +893,7 @@ func (r *Reliable) SnapshotState() []byte {
 	})
 	w.Int(len(r.pks))
 	for _, k := range r.pks {
-		tx := r.pending[k]
+		tx := &r.txs[r.pending[k]]
 		w.Int(int(tx.env.Src))
 		w.Int(int(tx.env.Dst))
 		w.U64(tx.env.Seq)
@@ -924,7 +949,8 @@ func (r *Reliable) RestoreState(b []byte) error {
 		seen[ch] = s
 	}
 	now := time.Now()
-	pending := make(map[pendKey]*pendingTx)
+	pending := make(map[pendKey]int32)
+	var txs []pendingTx
 	for n := rd.Int(); n > 0 && rd.Err() == nil; n-- {
 		env := Envelope{
 			Src:  event.ProcID(rd.Int()),
@@ -935,9 +961,14 @@ func (r *Reliable) RestoreState(b []byte) error {
 		attempt := rd.Int()
 		env.Wire = readWireState(rd)
 		env.Attempt = attempt
-		pending[pendKey{chanKey{env.Src, env.Dst}, env.Seq}] = &pendingTx{
-			env: env, deadline: now, attempt: attempt,
+		tx := pendingTx{env: env, deadline: now, attempt: attempt}
+		k := pendKey{chanKey{env.Src, env.Dst}, env.Seq}
+		if i, dup := pending[k]; dup {
+			txs[i] = tx // a repeated key keeps the last record, as a map store would
+			continue
 		}
+		pending[k] = int32(len(txs))
+		txs = append(txs, tx)
 	}
 	if err := rd.Close(); err != nil {
 		return fmt.Errorf("transport: corrupt state snapshot: %w", err)
@@ -947,7 +978,7 @@ func (r *Reliable) RestoreState(b []byte) error {
 	r.cum = cum
 	r.seen = seen
 	wasIdle := len(r.pending) == 0
-	r.pending = pending
+	r.pending, r.txs, r.free = pending, txs, r.free[:0]
 	clear(r.acked) // the restored table may hold seqs the old marks had passed
 	r.progress++
 	if wasIdle && len(pending) > 0 {
@@ -1043,6 +1074,9 @@ func (r *Reliable) loop() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.Tick)
 	defer t.Stop()
+	// due and backoffs are the resend list of one tick, kept across ticks.
+	var due []Envelope
+	var backoffs []time.Duration
 	for {
 		r.mu.Lock()
 		idle := len(r.pending) == 0
@@ -1069,10 +1103,10 @@ func (r *Reliable) loop() {
 		case <-r.stop:
 			return
 		case now := <-t.C:
-			var due []Envelope
-			var backoffs []time.Duration
+			due, backoffs = due[:0], backoffs[:0]
 			r.mu.Lock()
-			for _, p := range r.pending {
+			for _, i := range r.pending {
+				p := &r.txs[i]
 				if r.down[p.env.Dst] {
 					continue
 				}
@@ -1096,6 +1130,7 @@ func (r *Reliable) loop() {
 			for _, e := range due {
 				r.send(e)
 			}
+			clear(due) // the kept list must not pin sent payloads
 		}
 	}
 }

@@ -150,13 +150,18 @@ go run ./cmd/mobench mux -smoke >/dev/null
 echo "== allocation budget (steady-path gate) =="
 # The pooled encode, outbox pop and frame read paths must be
 # allocation-free once warm, and a connection's VC arena must span its
-# frames. So must a checkpoint, layer by layer: shard's blob assembly
-# (nothing per clean domain), the transport's SnapshotState, the WAL's
-# copy of the blob, and the host's whole checkpoint of a 1000-domain
-# sharded process. Run without -race (the detector's instrumentation
-# allocates; the tests are build-tagged !race).
+# frames. So must the receive path: a frame decoded into the
+# connection's kept slice, the inbox's push and take, handleBatch's ack
+# bookkeeping, and chanmux's per-channel demux of a mixed frame. So
+# must the reliable sublayer's Wrap → Accept → CumAckFor → Ack cycle,
+# whose pending records live in a slab it keeps. And so must a
+# checkpoint, layer by layer: shard's blob assembly (nothing per clean
+# domain), the transport's SnapshotState, the WAL's copy of the blob,
+# and the host's whole checkpoint of a 1000-domain sharded process. Run
+# without -race (the detector's instrumentation allocates; the tests
+# are build-tagged !race).
 go test -run 'AllocationBudget|ArenaSpansFrames|SnapshotAllocsScaleWithDirtyDomains|CheckpointCycleReusesJournalArray' \
-	./internal/netmesh/ ./internal/host/ ./internal/shard/ ./internal/crash/ ./internal/transport/
+	./internal/netmesh/ ./internal/chanmux/ ./internal/host/ ./internal/shard/ ./internal/crash/ ./internal/transport/
 
 echo "== benchmark module (stack signature gate) =="
 # benchmark/ is its own module compiled against this one (replace
