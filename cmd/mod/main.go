@@ -252,7 +252,7 @@ func run(args []string, out io.Writer) error {
 	}
 	s := node.Stats()
 	fmt.Fprintf(out, "mod exit id=%d delivered=%d user=%d control=%d retransmits=%d recoveries=%d\n",
-		*id, len(node.Deliveries()), s.UserMessages, s.ControlMessages, s.Retransmits, s.Recoveries)
+		*id, s.Deliveries, s.UserMessages, s.ControlMessages, s.Retransmits, s.Recoveries)
 	if det != nil {
 		c := det.Counters()
 		fmt.Fprintf(out, "mod detector id=%d suspects=%v suspicions=%d alives=%d\n",
@@ -364,7 +364,7 @@ func runMux(id int, addrs []string, channels, clientAddr, httpAddr, walDir strin
 		}
 		s := ch.Stats()
 		fmt.Fprintf(out, "mod exit id=%d channel=%s delivered=%d user=%d control=%d retransmits=%d recoveries=%d\n",
-			id, info.Name, len(ch.Deliveries()), s.UserMessages, s.ControlMessages, s.Retransmits, s.Recoveries)
+			id, info.Name, s.Deliveries, s.UserMessages, s.ControlMessages, s.Retransmits, s.Recoveries)
 	}
 	return nil
 }

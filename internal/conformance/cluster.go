@@ -306,7 +306,7 @@ func (c *cluster) await(d, i int, timeout time.Duration) error {
 				continue
 			}
 			fmt.Fprintf(&b, "\n  %s P%d delivered %d of %d, transport %+v",
-				c.domain(d), i, len(ep.Deliveries()), c.want[d][i], ep.TransportCounters())
+				c.domain(d), i, ep.Stats().Deliveries, c.want[d][i], ep.TransportCounters())
 		}
 	}
 	return fmt.Errorf("%s: %w; cell state:%s", c.domain(d), err, b.String())

@@ -5,8 +5,11 @@ package netmesh
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
@@ -62,37 +65,51 @@ func TestSteadySendPathAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestArenaSpansFramesOfOneConnection pins the VC arena's lifetime: a
-// connection that carries one stamped envelope per frame must carve
-// every stamp from a chunk it keeps across frames, not buy a fresh
-// chunk for each frame. 256 such frames cost at most two chunks, and
-// each decode allocates only what the envelope itself needs (the
-// result slice and the tag copy).
+// TestArenaSpansFramesOfOneConnection pins the decode arena's
+// lifetime: a connection that carries one stamped, tagged envelope per
+// frame must carve every stamp and tag from chunks it keeps across
+// frames, not buy fresh ones for each frame. Once the tag chunks have
+// grown to their cap, 256 such frames cost at most one chunk of each
+// kind, and each decode allocates only the result slice.
 func TestArenaSpansFramesOfOneConnection(t *testing.T) {
 	enc := getEncoder()
 	defer putEncoder(enc)
 	payload := append([]byte(nil), encodeBatch(enc, batchEnvs(0, 1))...)
 
-	var arena []uint64 // serveConn's, for the life of the connection
-	chunks := 0
-	for i := 0; i < 256; i++ {
-		before := cap(arena)
-		if _, err := decodeBatch(nil, payload, &arena); err != nil {
+	var arena connArena // serveConn's, for the life of the connection
+	var envs []transport.Envelope
+	decode := func() {
+		var err error
+		if envs, err = decodeBatch(envs[:0], payload, &arena); err != nil {
 			t.Fatal(err)
 		}
-		if cap(arena) > before {
+	}
+	for range 1024 {
+		decode()
+	}
+	chunks := 0
+	for range 256 {
+		vcBefore, prev := cap(arena.vc), envs[0].Wire.Tag
+		decode()
+		if cap(arena.vc) > vcBefore {
+			chunks++
+		}
+		// A tag carved from the same chunk starts where the last one ended.
+		end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), len(prev))
+		if unsafe.Pointer(unsafe.SliceData(envs[0].Wire.Tag)) != end {
 			chunks++
 		}
 	}
 	if chunks > 2 {
 		t.Errorf("256 single-envelope stamped frames took %d arena chunks, want ≤ 2", chunks)
 	}
-	if avg := testing.AllocsPerRun(256, func() {
+	decode = func() {
 		if _, err := decodeBatch(nil, payload, &arena); err != nil {
 			t.Fatal(err)
 		}
-	}); avg > 2 {
-		t.Errorf("decoding a single-envelope stamped frame allocates %.0f, want ≤ 2 (arena amortized)", avg)
+	}
+	if avg := testing.AllocsPerRun(256, decode); avg > 1 {
+		t.Errorf("decoding a single-envelope stamped frame allocates %.0f, want ≤ 1 (arena amortized)", avg)
 	}
 }
 
@@ -102,9 +119,11 @@ func TestArenaSpansFramesOfOneConnection(t *testing.T) {
 // once warm, and neither does an envelope's loopback to Self. The frame carries two sources' data envelopes, one source
 // with a gap below them, so both cumulative and exact acks are minted.
 // Every envelope was accepted beforehand, so the protocol above (whose
-// allocations are its own) is never called. Tags and VC stamps are left
-// out: their copies are the decoder's per-envelope cost, which
-// TestArenaSpansFramesOfOneConnection bounds.
+// allocations are its own) is never called. The envelopes carry
+// fifo-sized tags, carved from the connection's arena: a chunk of up to
+// 4 KB serves dozens of frames, so the per-frame average AllocsPerRun
+// reports (an integer) reads 0. VC stamps, which only a traced mesh
+// sends, are left out; TestArenaSpansFramesOfOneConnection bounds them.
 func TestSteadyReceivePathAllocationBudget(t *testing.T) {
 	acks := 0
 	n := &Node{cfg: NodeConfig{Self: 1, Procs: 3}, q: newInbox(), ackHi: make([]int32, 3),
@@ -119,7 +138,8 @@ func TestSteadyReceivePathAllocationBudget(t *testing.T) {
 				seq++ // P2's seq 1 never arrives: a gap under all of them
 			}
 			frame = append(frame, transport.Envelope{Src: src, Dst: 1, Kind: transport.Data, Seq: seq,
-				Wire: protocol.Wire{From: src, To: 1, Kind: protocol.UserWire, Msg: event.MsgID(i)}})
+				Wire: protocol.Wire{From: src, To: 1, Kind: protocol.UserWire, Msg: event.MsgID(i),
+					Tag: binary.AppendUvarint(nil, seq)}})
 		}
 	}
 	for _, e := range frame {
@@ -131,7 +151,7 @@ func TestSteadyReceivePathAllocationBudget(t *testing.T) {
 	payload := append([]byte(nil), encodeBatch(enc, frame)...)
 
 	var envs, queued []transport.Envelope // the connection's and the handler's
-	var arena []uint64
+	var arena connArena
 	var items []nodeItem
 	cycle := func() {
 		var err error
@@ -165,5 +185,42 @@ func TestSteadyReceivePathAllocationBudget(t *testing.T) {
 		items, queued, _ = n.q.take(items, queued)
 	}); avg != 0 {
 		t.Errorf("loopback Send → inbox allocates %.1f per envelope, want 0", avg)
+	}
+}
+
+// TestUserLogAllocationBudget pins the user log's cost: live sends and
+// deliveries append to chunks that are never copied, so once the chunks
+// have grown to their cap, every logChunkMax events — a send and a
+// delivery for each of logChunkMax/2 messages — cost one allocation
+// (the chunk list's rare regrowths vanish in the average) and no more
+// bytes than the chunks hold. Each send is acked at once, so the
+// reliable sublayer's slab stays warm.
+func TestUserLogAllocationBudget(t *testing.T) {
+	n := logNode(t)
+	w := protocol.Wire{From: 0, To: 1, Kind: protocol.UserWire}
+	cycle := func() {
+		for i := 0; i < logChunkMax/2; i++ {
+			w.Msg++
+			n.sendWire(w)
+			n.deliver(w.Msg)
+		}
+	}
+	cycle() // grow the chunks to their cap
+
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	avg := testing.AllocsPerRun(runs, cycle) // plus one warm-up cycle
+	runtime.ReadMemStats(&after)
+	if avg > 1 {
+		t.Errorf("%d sends and deliveries allocate %.0f times, want ≤ 1 (one chunk)", logChunkMax/2, avg)
+	}
+	chunk := uint64(logChunkMax * unsafe.Sizeof(event.Event{}))
+	if got, max := after.TotalAlloc-before.TotalAlloc, (runs+1)*chunk*17/16; got > max {
+		t.Errorf("%d cycles allocated %d bytes, want ≤ %d (one %d-byte chunk each, 1/16 slack for the chunk list)",
+			runs+1, got, max, chunk)
+	}
+	if got, want := n.log.n, 2*int(w.Msg); got != want {
+		t.Fatalf("log holds %d events, want %d", got, want)
 	}
 }

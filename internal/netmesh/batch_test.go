@@ -52,7 +52,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	// decoder that reads one field too many or too few mis-frames the rest.
 	data := batchEnvs(3, 3)
 	runs["interleaved"] = []transport.Envelope{ctrl[0], data[0], ctrl[1], ctrl[2], data[1], data[2], ctrl[0]}
-	var arena []uint64
+	var arena connArena
 	for name, envs := range runs {
 		enc := getEncoder()
 		payload := encodeBatch(enc, envs)
@@ -110,7 +110,7 @@ func TestDecodeBatchRejectsCorrupt(t *testing.T) {
 	cases = append(cases, append([]byte(nil), enc3.Out()...))
 	putEncoder(enc3)
 	for i, b := range cases {
-		if _, err := decodeBatch(nil, b, new([]uint64)); err == nil {
+		if _, err := decodeBatch(nil, b, new(connArena)); err == nil {
 			t.Fatalf("case %d: decodeBatch accepted corrupt input %v", i, b)
 		}
 	}
@@ -285,7 +285,7 @@ func TestCodecPoolNeverAliasesDecodedEnvelopes(t *testing.T) {
 			defer wg.Done()
 			var prev []transport.Envelope
 			var prevWant []transport.Envelope
-			var arena []uint64           // one per goroutine, as one per connection
+			var arena connArena          // one per goroutine, as one per connection
 			var dec []transport.Envelope // likewise the decode slice
 			for i := 0; i < rounds; i++ {
 				want := batchEnvs(g, 1+i%9)
@@ -343,7 +343,7 @@ func TestReadFrameIntoReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var arena []uint64
+	var arena connArena
 	got1, err := decodeBatch(nil, buf, &arena)
 	if err != nil {
 		t.Fatal(err)

@@ -220,14 +220,37 @@ func encodeEnvelopeBody(w *snapio.Writer, e transport.Envelope) {
 	}
 }
 
+// vcChunk is how many counters a fresh VC chunk of a connection's
+// decode arena holds, unless one stamp needs more.
+const vcChunk = 1024
+
+// connArena is the storage a connection carves decoded envelopes'
+// variable-length fields from, kept for the life of the connection so
+// one allocation is amortized over many envelopes however few each
+// frame carries. Like tags, VC stamps are capped and never recycled: a
+// chunk stays alive while any stamp carved from it does, and the arena
+// simply moves on to a fresh chunk.
+type connArena struct {
+	vc   []uint64 // the current VC chunk's uncarved tail
+	tags protocol.TagArena
+}
+
+// stamp carves an n-counter VC stamp from the arena.
+func (a *connArena) stamp(n int) []uint64 {
+	if len(a.vc) < n {
+		a.vc = make([]uint64, max(n, vcChunk))
+	}
+	v := a.vc[:n:n]
+	a.vc = a.vc[n:]
+	return v
+}
+
 // decodeEnvelopeBody parses one envelope's fields off r. The result
-// never aliases the input buffer (Tag and VC are copied), so frame
-// read buffers can be reused. VC stamps are carved from *arena, which
-// the caller keeps for the life of its connection — one allocation
-// amortized over many envelopes, however few each frame carries — and
-// carved sub-slices are never recycled, so they stay valid after the
-// arena moves on.
-func decodeEnvelopeBody(r *snapio.Reader, arena *[]uint64) (transport.Envelope, error) {
+// never aliases the input buffer (Tag and VC are carved from a, see
+// connArena), so frame read buffers can be reused. A VC count is
+// checked against the bytes left before anything is sized by it: each
+// counter takes at least one byte.
+func decodeEnvelopeBody(r *snapio.Reader, a *connArena) (transport.Envelope, error) {
 	var e transport.Envelope
 	e.Src = event.ProcID(r.Int())
 	e.Dst = event.ProcID(r.Int())
@@ -236,32 +259,24 @@ func decodeEnvelopeBody(r *snapio.Reader, arena *[]uint64) (transport.Envelope, 
 	e.Seq = r.U64()
 	e.Cum = r.U64()
 	e.Attempt = r.Int()
-	if e.Kind != transport.Data {
-		return e, r.Err()
-	}
-	e.Wire.From = event.ProcID(r.Int())
-	e.Wire.To = event.ProcID(r.Int())
-	e.Wire.Kind = protocol.WireKind(r.Byte())
-	e.Wire.Msg = event.MsgID(r.Int())
-	e.Wire.Color = event.Color(r.Byte())
-	e.Wire.Ctrl = r.Byte()
-	e.Wire.Key = event.Key(r.U64())
-	e.Wire.Tag = r.Bytes()
-	if n := r.Int(); n > 0 {
-		if n > maxFrame {
-			return transport.Envelope{}, errCorruptFrame
-		}
-		if len(*arena) < n {
-			*arena = make([]uint64, 256*n)
-		}
-		e.Wire.VC = (*arena)[:n:n]
-		*arena = (*arena)[n:]
-		for i := range e.Wire.VC {
-			e.Wire.VC[i] = r.U64()
+	if e.Kind == transport.Data {
+		e.Wire.From = event.ProcID(r.Int())
+		e.Wire.To = event.ProcID(r.Int())
+		e.Wire.Kind = protocol.WireKind(r.Byte())
+		e.Wire.Msg = event.MsgID(r.Int())
+		e.Wire.Color = event.Color(r.Byte())
+		e.Wire.Ctrl = r.Byte()
+		e.Wire.Key = event.Key(r.U64())
+		e.Wire.Tag = a.tags.Copy(r.Next(r.Int()))
+		if n := r.Count(1); n > 0 {
+			e.Wire.VC = a.stamp(n)
+			for i := range e.Wire.VC {
+				e.Wire.VC[i] = r.U64()
+			}
 		}
 	}
 	if err := r.Err(); err != nil {
-		return transport.Envelope{}, err
+		return transport.Envelope{}, fmt.Errorf("%w: %w", errCorruptFrame, err)
 	}
 	return e, nil
 }
@@ -275,13 +290,13 @@ func encodeEnvelope(e transport.Envelope) []byte {
 }
 
 // decodeEnvelope parses an envelope frame payload (kind byte included),
-// carving any VC stamp from *arena.
-func decodeEnvelope(b []byte, arena *[]uint64) (transport.Envelope, error) {
+// carving its tag and any VC stamp from a.
+func decodeEnvelope(b []byte, a *connArena) (transport.Envelope, error) {
 	r := snapio.NewReader(b)
 	if r.Byte() != frameEnvelope {
 		return transport.Envelope{}, errCorruptFrame
 	}
-	e, err := decodeEnvelopeBody(r, arena)
+	e, err := decodeEnvelopeBody(r, a)
 	if err != nil {
 		return transport.Envelope{}, err
 	}
@@ -308,8 +323,8 @@ func encodeBatch(w *snapio.Writer, envs []transport.Envelope) []byte {
 // decodeBatch parses a batch frame payload (kind byte included),
 // appending its envelopes to dst — the connection's kept slice, passed
 // as dst[:0] — and returns the extended slice. The envelopes never
-// alias b (see decodeEnvelopeBody); VC stamps are carved from *arena.
-func decodeBatch(dst []transport.Envelope, b []byte, arena *[]uint64) ([]transport.Envelope, error) {
+// alias b (see decodeEnvelopeBody); tags and VC stamps are carved from a.
+func decodeBatch(dst []transport.Envelope, b []byte, a *connArena) ([]transport.Envelope, error) {
 	r := snapio.NewReader(b)
 	if r.Byte() != frameBatch {
 		return nil, errCorruptFrame
@@ -322,7 +337,7 @@ func decodeBatch(dst []transport.Envelope, b []byte, arena *[]uint64) ([]transpo
 		return nil, fmt.Errorf("%w: %d-envelope batch", errCorruptFrame, n)
 	}
 	for i := 0; i < n; i++ {
-		e, err := decodeEnvelopeBody(r, arena)
+		e, err := decodeEnvelopeBody(r, a)
 		if err != nil {
 			return dst, err
 		}

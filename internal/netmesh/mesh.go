@@ -496,7 +496,7 @@ func (m *Mesh) serveConn(conn net.Conn) {
 	m.count(func(c *Counters) { c.Accepted++ })
 	m.cfg.Obs.Count("netmesh.accepted", 1)
 	var rbuf []byte               // reused across frames; decoders copy out of it
-	var arena []uint64            // VC stamps are carved from it; chunks outlive frames
+	var arena connArena           // tags and VC stamps are carved from it; chunks outlive frames
 	var envs []transport.Envelope // each frame decodes into it; rcv copies what it keeps
 	for {
 		payload, err := readFrameInto(br, rbuf)

@@ -31,7 +31,7 @@ func TestEnvelopeCodecRoundTrip(t *testing.T) {
 			Wire: protocol.Wire{From: 0, To: 2, Kind: protocol.UserWire, Msg: 41,
 				Color: event.ColorRed, Tag: []byte("piggyback")}},
 	}
-	var arena []uint64
+	var arena connArena
 	for i, e := range cases {
 		got, err := decodeEnvelope(encodeEnvelope(e), &arena)
 		if err != nil {
@@ -46,7 +46,7 @@ func TestEnvelopeCodecRoundTrip(t *testing.T) {
 func TestCodecRejectsCorruptFrames(t *testing.T) {
 	good := encodeEnvelope(transport.Envelope{Src: 0, Dst: 1, Kind: transport.Data, Seq: 1})
 	for _, b := range [][]byte{nil, {0}, {frameEnvelope}, good[:len(good)-1], append(append([]byte{}, good...), 9)} {
-		if _, err := decodeEnvelope(b, new([]uint64)); err == nil {
+		if _, err := decodeEnvelope(b, new(connArena)); err == nil {
 			t.Fatalf("decodeEnvelope(%v) accepted corrupt input", b)
 		}
 	}

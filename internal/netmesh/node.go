@@ -216,19 +216,79 @@ type Node struct {
 
 	mu sync.Mutex
 	// progress is what WaitDeliveries sleeps on: signalled when err is
-	// first set and when delivered reaches wakeAt, the smallest count a
-	// sleeper is waiting for (0: none) — so an open-loop run wakes its
-	// waiter once, not once per message.
-	progress  *sync.Cond
-	wakeAt    int
-	events    []event.Event // user-visible events at Self, in local order
-	delivered []event.MsgID
-	stats     protocol.Stats
-	err       error
-	timers    []*time.Timer
-	closed    bool
+	// first set and when stats.Deliveries reaches wakeAt, the smallest
+	// count a sleeper is waiting for (0: none) — so an open-loop run
+	// wakes its waiter once, not once per message.
+	progress *sync.Cond
+	wakeAt   int
+	log      userLog // user-visible events at Self, in local order
+	stats    protocol.Stats
+	err      error
+	timers   []*time.Timer
+	closed   bool
 
 	wg sync.WaitGroup
+}
+
+// Chunk capacities of a userLog, in events: the first chunk is small so
+// that a node that only boots, or a lightly used channel, pays almost
+// nothing; each next chunk doubles, up to the cap.
+const (
+	logChunkMin = 64
+	logChunkMax = 4096
+)
+
+// userLog is one process's user-visible history — its sends and
+// delivers, in local order — stored once. It is a list of chunks that
+// are never copied or reallocated once made: appending costs one
+// allocation per chunk filled, and readers copy out.
+type userLog struct {
+	chunks [][]event.Event
+	n      int
+}
+
+// add appends e.
+func (l *userLog) add(e event.Event) {
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
+		size := logChunkMin
+		if last >= 0 {
+			size = min(2*cap(l.chunks[last]), logChunkMax)
+		}
+		l.chunks = append(l.chunks, make([]event.Event, 0, size))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], e)
+	l.n++
+}
+
+// events returns a fresh copy of the whole log (nil when empty).
+func (l *userLog) events() []event.Event {
+	if l.n == 0 {
+		return nil
+	}
+	out := make([]event.Event, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// deliveries returns a fresh copy of the log's k deliveries, in order
+// (nil when k is 0).
+func (l *userLog) deliveries(k int) []event.MsgID {
+	if k == 0 {
+		return nil
+	}
+	out := make([]event.MsgID, 0, k)
+	for _, c := range l.chunks {
+		for _, e := range c {
+			if e.Kind == event.Deliver {
+				out = append(out, e.Msg)
+			}
+		}
+	}
+	return out
 }
 
 // sendWire tallies a wire the host has checked, journaled and probed,
@@ -238,7 +298,7 @@ func (n *Node) sendWire(w protocol.Wire) {
 	if w.Kind == protocol.UserWire {
 		n.stats.UserMessages++
 		n.stats.UserTagBytes += len(w.Tag)
-		n.events = append(n.events, event.E(w.Msg, event.Send))
+		n.log.add(event.E(w.Msg, event.Send))
 	} else {
 		n.stats.ControlMessages++
 		n.stats.ControlBytes += len(w.Tag)
@@ -251,10 +311,9 @@ func (n *Node) sendWire(w protocol.Wire) {
 // wakes WaitDeliveries sleepers whose count it reaches.
 func (n *Node) deliver(id event.MsgID) {
 	n.mu.Lock()
-	n.events = append(n.events, event.E(id, event.Deliver))
-	n.delivered = append(n.delivered, id)
+	n.log.add(event.E(id, event.Deliver))
 	n.stats.Deliveries++
-	wake := n.wakeAt != 0 && len(n.delivered) >= n.wakeAt
+	wake := n.wakeAt != 0 && n.stats.Deliveries >= n.wakeAt
 	if wake {
 		n.wakeAt = 0
 	}
@@ -518,7 +577,7 @@ func (n *Node) Crash(downtime time.Duration) error {
 func (n *Node) Deliveries() []event.MsgID {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return append([]event.MsgID(nil), n.delivered...)
+	return n.log.deliveries(n.stats.Deliveries)
 }
 
 // Events returns the user-visible events (sends and delivers) recorded
@@ -526,7 +585,7 @@ func (n *Node) Deliveries() []event.MsgID {
 func (n *Node) Events() []event.Event {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return append([]event.Event(nil), n.events...)
+	return n.log.events()
 }
 
 // Stats returns the protocol tallies with the transport and injector
@@ -585,7 +644,7 @@ func (n *Node) WaitDeliveries(k int, timeout time.Duration) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for {
-		switch got := len(n.delivered); {
+		switch got := n.stats.Deliveries; {
 		case n.err != nil:
 			return n.err
 		case got >= k:

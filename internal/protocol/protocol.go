@@ -91,6 +91,37 @@ type Wire struct {
 	VC []uint64
 }
 
+// TagArena hands out tags carved from chunks it never reuses. A tag is
+// immutable once sent and is kept by several holders at once — the
+// WAL's mirror, the reliable sublayer's pending table, a receiver's
+// holdback — so each carved tag is a capped copy (an append to one
+// cannot reach the next), and a chunk lives while any tag carved from
+// it does. Chunks start at 64 bytes and double up to 4 KB, so an arena
+// that carves few tags costs little. The zero value is ready to use.
+type TagArena struct {
+	buf []byte // the current chunk; its length is what is carved
+}
+
+// Chunk capacities of a TagArena, in bytes.
+const (
+	tagChunkMin = 64
+	tagChunkMax = 4096
+)
+
+// Copy returns a copy of b carved from the arena (nil for empty b).
+func (a *TagArena) Copy(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	if cap(a.buf)-len(a.buf) < len(b) {
+		next := min(max(2*cap(a.buf), tagChunkMin), tagChunkMax)
+		a.buf = make([]byte, 0, max(len(b), next))
+	}
+	i := len(a.buf)
+	a.buf = append(a.buf, b...)
+	return a.buf[i:len(a.buf):len(a.buf)]
+}
+
 // Env is the harness-provided environment for one protocol instance.
 // All calls made by a process must happen inside its OnInvoke/OnReceive
 // handlers (the harness serializes them per process).

@@ -28,6 +28,12 @@ type Process struct {
 	// held buffers out-of-order messages: held[src][seq] = message id.
 	held map[event.ProcID]map[uint64]event.MsgID
 
+	// tags is the arena OnInvoke carves sequence-number tags from, each
+	// encoded in tagBuf first; the arena's small first chunk keeps the
+	// many instances of a sharded process small.
+	tags   protocol.TagArena
+	tagBuf [binary.MaxVarintLen64]byte
+
 	// snap, procs and seqs are Snapshot's encoding and sort scratch,
 	// kept for the next one (protocol.Snapshotter: the returned bytes
 	// belong to the instance), so a warm snapshot allocates nothing.
@@ -66,7 +72,7 @@ func (p *Process) OnInvoke(m event.Message) {
 		Kind:  protocol.UserWire,
 		Msg:   m.ID,
 		Color: m.Color,
-		Tag:   binary.AppendUvarint(nil, seq),
+		Tag:   p.tags.Copy(binary.AppendUvarint(p.tagBuf[:0], seq)),
 	})
 }
 

@@ -125,21 +125,36 @@ func (r *Reader) Bool() bool { return r.Byte() != 0 }
 
 // Bytes reads a length-prefixed byte string (nil for length zero).
 func (r *Reader) Bytes() []byte {
-	n := r.Int()
-	if r.err != nil {
+	return append([]byte(nil), r.Next(r.Int())...)
+}
+
+// Next reads the next n raw bytes without copying them: the result
+// aliases the encoding, so a caller that keeps it past the encoding's
+// lifetime copies it. It is nil for n zero or after an error.
+func (r *Reader) Next(n int) []byte {
+	if r.err != nil || n == 0 {
 		return nil
 	}
-	if n > len(r.b) {
+	if n < 0 || n > len(r.b) {
 		r.err = ErrCorrupt
 		return nil
 	}
-	if n == 0 {
-		r.b = r.b[0:]
-		return nil
-	}
-	out := append([]byte(nil), r.b[:n]...)
+	b := r.b[:n:n]
 	r.b = r.b[n:]
-	return out
+	return b
+}
+
+// Count reads an element count and checks it against the bytes left:
+// each element takes at least minSize bytes (≥ 1), so a count the rest
+// of the encoding cannot hold fails before the caller sizes anything by
+// it.
+func (r *Reader) Count(minSize int) int {
+	n := r.Int()
+	if r.err == nil && n > len(r.b)/minSize {
+		r.err = ErrCorrupt
+		return 0
+	}
+	return n
 }
 
 // Err returns the first decoding error, if any.

@@ -94,3 +94,35 @@ func TestResetKeepsBuffer(t *testing.T) {
 		t.Fatalf("after Reset: %d bytes, same backing array %v", len(got), &got[0] == &first[0])
 	}
 }
+
+// TestNextAliasesAndCountBoundsByBytesLeft: Next lends the encoding's
+// own bytes, capped so an append cannot reach the next field, under the
+// same overrun check Bytes makes; Count refuses a count the bytes left
+// cannot hold before anything is sized by it.
+func TestNextAliasesAndCountBoundsByBytesLeft(t *testing.T) {
+	enc := []byte{3, 'a', 'b', 'c', 9}
+	r := NewReader(enc)
+	got := r.Next(r.Int())
+	if string(got) != "abc" || &got[0] != &enc[1] || cap(got) != 3 {
+		t.Fatalf("Next = %q (cap %d), want the encoding's own \"abc\" capped", got, cap(got))
+	}
+	if r.Byte() != 9 || r.Close() != nil {
+		t.Fatal("Next did not advance past its bytes")
+	}
+	if r := NewReader([]byte{1, 2}); r.Next(3) != nil || r.Err() == nil {
+		t.Fatal("overrun Next not flagged")
+	}
+
+	// Three 8-byte elements fit in 24 bytes left; a fourth does not.
+	ok := append([]byte{3}, make([]byte, 24)...)
+	if r := NewReader(ok); r.Count(8) != 3 || r.Err() != nil {
+		t.Fatalf("Count(8) over 24 bytes: err %v", r.Err())
+	}
+	if r := NewReader(append([]byte{4}, make([]byte, 24)...)); r.Count(8) != 0 || r.Err() == nil {
+		t.Fatal("a count the bytes left cannot hold was not flagged")
+	}
+	// A huge count in a tiny input fails instead of returning it.
+	if r := NewReader([]byte{0xff, 0xff, 0xff, 0x07, 0}); r.Count(1) != 0 || r.Err() == nil {
+		t.Fatal("huge count not flagged")
+	}
+}

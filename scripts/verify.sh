@@ -149,19 +149,23 @@ go run ./cmd/mobench mux -smoke >/dev/null
 
 echo "== allocation budget (steady-path gate) =="
 # The pooled encode, outbox pop and frame read paths must be
-# allocation-free once warm, and a connection's VC arena must span its
-# frames. So must the receive path: a frame decoded into the
-# connection's kept slice, the inbox's push and take, handleBatch's ack
-# bookkeeping, and chanmux's per-channel demux of a mixed frame. So
-# must the reliable sublayer's Wrap → Accept → CumAckFor → Ack cycle,
-# whose pending records live in a slab it keeps. And so must a
-# checkpoint, layer by layer: shard's blob assembly (nothing per clean
-# domain), the transport's SnapshotState, the WAL's copy of the blob,
-# and the host's whole checkpoint of a 1000-domain sharded process. Run
+# allocation-free once warm, and a connection's decode arena (tags and
+# VC stamps) must span its frames. So must the receive path: a frame
+# of tagged envelopes decoded into the connection's kept slice, the
+# inbox's push and take, handleBatch's ack bookkeeping, and chanmux's
+# per-channel demux of a mixed frame. So must the reliable sublayer's
+# Wrap → Accept → CumAckFor → Ack cycle, whose pending records live in a
+# slab it keeps. And so must a checkpoint, layer by layer: shard's blob
+# assembly (nothing per clean domain), the transport's SnapshotState,
+# the WAL's copy of the blob, and the host's whole checkpoint of a
+# 1000-domain sharded process. Per-message storage costs what it holds:
+# a node's user log allocates one chunk per chunk filled, and fifo
+# carves its tags from an arena (≤ 1/64 allocation per invoke). Run
 # without -race (the detector's instrumentation allocates; the tests
 # are build-tagged !race).
 go test -run 'AllocationBudget|ArenaSpansFrames|SnapshotAllocsScaleWithDirtyDomains|CheckpointCycleReusesJournalArray' \
-	./internal/netmesh/ ./internal/chanmux/ ./internal/host/ ./internal/shard/ ./internal/crash/ ./internal/transport/
+	./internal/netmesh/ ./internal/chanmux/ ./internal/host/ ./internal/shard/ ./internal/crash/ ./internal/transport/ \
+	./internal/protocols/fifo/
 
 echo "== benchmark module (stack signature gate) =="
 # benchmark/ is its own module compiled against this one (replace
