@@ -5,145 +5,34 @@
 // crash-restart} on loopback TCP meshes with per-node WALs. Each cell
 // validates the surviving members' user view byte-for-byte against the
 // in-memory sim reference and, where the protocol carries one, against
-// its forbidden-predicate specification. -json writes
-// BENCH_churn.json, then re-reads and re-validates the file so a
-// truncated or failing snapshot is an error, not an artifact.
+// its forbidden-predicate specification; a cell failing
+// conformance.ChurnCell.Err is a non-zero exit.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"msgorder/internal/conformance"
-	"msgorder/internal/protocols/registry"
 )
 
-// churnProtoList resolves a comma-separated protocol list ("" = the
-// full catalog plus handoff) into churn-matrix inputs with predicates.
-func churnProtoList(list string) ([]conformance.ChurnProtocol, error) {
-	var names []string
+// protoList resolves a comma-separated -protos value into matrix
+// inputs; "" means the registry catalog.
+func protoList(list string) ([]conformance.NetProtocol, error) {
 	if list == "" {
-		for _, e := range registry.Catalog() {
-			names = append(names, e.Name)
-		}
-		names = append(names, "handoff")
-	} else {
-		names = strings.Split(list, ",")
+		return conformance.Protocols()
 	}
-	var out []conformance.ChurnProtocol
-	for _, name := range names {
-		e, ok := registry.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown protocol %q (see 'mobench protocols')", name)
-		}
-		out = append(out, conformance.ChurnProtocol{
-			Name: e.Name, Maker: e.Maker, Colors: e.Colors, Pred: e.Pred(),
-		})
-	}
-	return out, nil
-}
-
-// churnData runs the churn matrix in a scratch WAL directory and
-// returns the cells.
-func churnData(protos []conformance.ChurnProtocol, cfg conformance.ChurnConfig) ([]conformance.ChurnCell, error) {
-	dir, err := os.MkdirTemp("", "mobench-churn-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	cfg.WALDir = dir
-	return conformance.ChurnMatrix(cfg, protos)
-}
-
-// churnEpochWant is the expected final membership epoch per operation:
-// join is a leave plus a join, leave and evict are one view change,
-// and handoff migrates the same logical member with no view change.
-func churnEpochWant(op string) uint64 {
-	switch op {
-	case "join":
-		return 2
-	case "leave", "evict":
-		return 1
-	default:
-		return 0
-	}
-}
-
-// churnCellBad returns a non-empty reason when a cell fails its
-// acceptance criteria; both the live run and the snapshot re-read
-// validate through it.
-func churnCellBad(c conformance.ChurnCell) string {
-	switch {
-	case !c.Match:
-		return "surviving views diverge from the sim reference"
-	case c.SpecViolation:
-		return "mesh view violates the protocol's specification"
-	case c.Epoch != churnEpochWant(c.Op):
-		return fmt.Sprintf("epoch %d, want %d", c.Epoch, churnEpochWant(c.Op))
-	case c.Op == "evict" && len(c.Evicted) != 1:
-		return fmt.Sprintf("evicted %v, want exactly the churned process", c.Evicted)
-	case c.Msgs <= 0:
-		return "validated view covers no messages"
-	}
-	return ""
-}
-
-// validateBenchChurn re-reads a written BENCH_churn.json and fails
-// unless it parses and every cell passes churnCellBad — the
-// churn-smoke gate's whole check is this function's exit code.
-func validateBenchChurn(path string) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("re-reading %s: %w", path, err)
-	}
-	var f struct {
-		Experiment string                  `json:"experiment"`
-		Rows       []conformance.ChurnCell `json:"rows"`
-	}
-	if err := json.Unmarshal(b, &f); err != nil {
-		return fmt.Errorf("%s is not valid JSON: %w", path, err)
-	}
-	if f.Experiment == "" || len(f.Rows) == 0 {
-		return fmt.Errorf("%s has no rows", path)
-	}
-	for _, c := range f.Rows {
-		if bad := churnCellBad(c); bad != "" {
-			return fmt.Errorf("%s: %s/%s/%s: %s", path, c.Protocol, c.Op, c.Env, bad)
-		}
-	}
-	return nil
-}
-
-// benchChurn writes and re-validates the BENCH_churn.json snapshot for
-// 'mobench bench' (the full matrix at the default workload length).
-func benchChurn(outdir string) error {
-	protos, err := churnProtoList("")
-	if err != nil {
-		return err
-	}
-	cells, err := churnData(protos, conformance.ChurnConfig{Seed: 3})
-	if err != nil {
-		return err
-	}
-	if err := writeBench(outdir, "BENCH_churn.json", "E16 membership churn matrix", cells); err != nil {
-		return err
-	}
-	return validateBenchChurn(filepath.Join(outdir, "BENCH_churn.json"))
+	return conformance.Protocols(strings.Split(list, ",")...)
 }
 
 // churnCmd runs E16:
 //
 //	mobench churn          # print the full churn matrix table
-//	mobench churn -json    # write + re-validate BENCH_churn.json
 //	mobench churn -smoke   # fifo × {join,evict} × clean (the CI gate)
 func churnCmd(args []string) error {
 	fs := flag.NewFlagSet("mobench churn", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "write the BENCH_churn.json snapshot instead of a table")
-	outdir := fs.String("outdir", ".", "directory to write BENCH_churn.json into")
 	msgs := fs.Int("msgs", 12, "lockstep workload length per cell")
 	procs := fs.Int("procs", 3, "mesh size per cell")
 	seed := fs.Int64("seed", 3, "workload seed")
@@ -167,24 +56,24 @@ func churnCmd(args []string) error {
 		cfg.Ops = []string{"join", "evict"}
 		cfg.Envs = []string{"clean"}
 	}
-	plist, err := churnProtoList(list)
+	plist, err := protoList(list)
+	if err == nil && list == "" {
+		var h []conformance.NetProtocol
+		h, err = conformance.Protocols("handoff")
+		plist = append(plist, h...)
+	}
 	if err != nil {
 		return err
 	}
-	cells, err := churnData(plist, cfg)
+	dir, err := os.MkdirTemp("", "mobench-churn-*")
 	if err != nil {
 		return err
 	}
-	for _, c := range cells {
-		if bad := churnCellBad(c); bad != "" {
-			return fmt.Errorf("%s/%s/%s: %s", c.Protocol, c.Op, c.Env, bad)
-		}
-	}
-	if *jsonOut {
-		if err := writeBench(*outdir, "BENCH_churn.json", "E16 membership churn matrix", cells); err != nil {
-			return err
-		}
-		return validateBenchChurn(filepath.Join(*outdir, "BENCH_churn.json"))
+	defer os.RemoveAll(dir)
+	cfg.WALDir = dir
+	cells, err := conformance.ChurnMatrix(cfg, plist)
+	if err != nil {
+		return err
 	}
 	fmt.Println("== E16: membership churn matrix — ops x environments, surviving views vs sim ==")
 	fmt.Printf("%-12s %-8s %-15s %6s %6s %6s %8s %10s\n",
@@ -201,5 +90,10 @@ func churnCmd(args []string) error {
 	fmt.Println("expected shape: every cell matches — joiners splice byte-identically after")
 	fmt.Println("state transfer, evictions name exactly the silent process, and handoff (§5)")
 	fmt.Println("migrates a member with no view change even under lossy or asymmetric links.")
+	for _, c := range cells {
+		if err := c.Err(); err != nil {
+			return err
+		}
+	}
 	return nil
 }

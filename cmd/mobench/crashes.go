@@ -45,22 +45,22 @@ func crashPlans() []struct {
 
 // crashCell is one (protocol, crash plan) cell, summed over seeds.
 type crashCell struct {
-	Plan           string  `json:"plan"`
-	Crashes        int     `json:"crashes"`
-	Recoveries     int     `json:"recoveries"`
-	Replayed       int     `json:"replayed_events"`
-	Retransmits    int     `json:"retransmits"`
-	Undelivered    int     `json:"undelivered"`
-	Violations     int     `json:"violations"`
-	RecoveryMeanUS float64 `json:"recovery_mean_us"`
-	RecoveryMaxUS  int64   `json:"recovery_max_us"`
+	Plan           string
+	Crashes        int
+	Recoveries     int
+	Replayed       int
+	Retransmits    int
+	Undelivered    int
+	Violations     int
+	RecoveryMeanUS float64
+	RecoveryMaxUS  int64
 }
 
 // crashesRow is one protocol's row of the crash matrix.
 type crashesRow struct {
-	Protocol string      `json:"protocol"`
-	Spec     string      `json:"spec"`
-	Cells    []crashCell `json:"cells"`
+	Protocol string
+	Spec     string
+	Cells    []crashCell
 }
 
 // crashesData sweeps the full protocol catalog across the crash plans.
@@ -136,24 +136,23 @@ func crashesData() ([]crashesRow, error) {
 	return rows, nil
 }
 
-// crashesCmd runs the E11 crash/recovery matrix:
+// crashesCmd runs the E11 crash/recovery matrix and prints its table:
 //
-//	mobench crashes            # print the table
-//	mobench crashes -json      # write BENCH_crashes.json into -outdir
+//	mobench crashes
 func crashesCmd(args []string) error {
-	fs := flag.NewFlagSet("mobench crashes", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "write the BENCH_crashes.json snapshot instead of a table")
-	outdir := fs.String("outdir", ".", "directory to write BENCH_crashes.json into")
-	if err := fs.Parse(args); err != nil {
+	if err := flag.NewFlagSet("mobench crashes", flag.ContinueOnError).Parse(args); err != nil {
 		return err
 	}
 	rows, err := crashesData()
 	if err != nil {
 		return err
 	}
-	if *jsonOut {
-		return writeBench(*outdir, "BENCH_crashes.json", "E11 crash/recovery matrix", rows)
-	}
+	printCrashes(rows)
+	return nil
+}
+
+// printCrashes renders the E11 table.
+func printCrashes(rows []crashesRow) {
 	fmt.Println("== E11: crash/recovery matrix — live harness with durable protocol state ==")
 	fmt.Println("cell: crashes/recoveries, replayed WAL entries, mean recovery latency; 'lost' =")
 	fmt.Println("undelivered messages (legal only under crash-stop), 'viol' flags spec violations")
@@ -184,5 +183,4 @@ func crashesCmd(args []string) error {
 	fmt.Println("logically synchronous ones stall their global order behind the dead")
 	fmt.Println("participant (fail-over is out of scope), losing nearly everything. Every")
 	fmt.Println("delivered prefix still satisfies its specification.")
-	return nil
 }

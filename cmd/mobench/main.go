@@ -10,24 +10,30 @@
 //	mobench discussion  # E3: the §5 discussion specifications
 //	mobench faults      # E9: protocols on a lossy network (fault matrix)
 //	mobench trace       # E10: instrumented run -> Chrome trace JSON (Perfetto)
-//	mobench crashes     # E11: crash/recovery matrix (-json writes BENCH_crashes.json)
-//	mobench net         # E12: sim vs loopback-TCP mesh (-json writes BENCH_net.json;
-//	                    #      -smoke -modbin M diffs real mod processes against the sim)
+//	mobench crashes     # E11: crash/recovery matrix
+//	mobench net         # E12: sim vs loopback-TCP mesh (-smoke -modbin M diffs real
+//	                    #      mod processes against the sim)
 //	mobench obs         # E15: observability-plane overhead — traced vs untraced
 //	                    #      load, scraped fleet timelines, contended locks
-//	                    #      (-json writes BENCH_obs.json)
 //	mobench churn       # E16: membership churn matrix — {join,leave,evict,handoff}
-//	                    #      x topology-shaped environments (-json writes
-//	                    #      BENCH_churn.json; -smoke is the CI gate)
+//	                    #      x topology-shaped environments (-smoke is the CI gate)
 //	mobench mux         # E17: multiplexed channels — per-channel guarantee levels
-//	                    #      over one shared mesh, views vs standalone (-json
-//	                    #      writes BENCH_mux.json; -smoke is the CI gate)
-//	mobench bench       # write BENCH_*.json snapshots (-outdir picks the directory)
+//	                    #      over one shared mesh, views vs standalone (-smoke is
+//	                    #      the CI gate)
 //	mobench all         # every table experiment
 //
 // E13 (open-loop load) and E14 (ordering-key sharded load) are measured
 // by the benchmark module (benchmark/, workloads fifo-n3 and keyed-1k),
 // not by mobench.
+//
+// net, obs, churn and mux check every cell they print and exit non-zero
+// on a failing one. The matrices' deterministic results — every
+// verdict and view key — are pinned by golden files that tier-1
+// compares: T1 and T3b under cmd/mobench/testdata/, the conformance
+// matrices under internal/conformance/testdata/. After an intended
+// change, rewrite them with
+//
+//	go test ./internal/conformance/ ./cmd/mobench/ -update
 //
 // Global flags (before the subcommand):
 //
@@ -169,8 +175,6 @@ func run(args []string) error {
 		return nil
 	case "trace":
 		return traceCmd(args[1:])
-	case "bench":
-		return benchCmd(args[1:])
 	case "crashes":
 		return crashesCmd(args[1:])
 	case "net":
@@ -189,31 +193,55 @@ func run(args []string) error {
 	return fn()
 }
 
-// table1 reproduces the §4.3 classification table over the catalog.
-func table1() error {
-	fmt.Println("== T1: classification table (§4.3) — paper class vs computed class ==")
-	fmt.Printf("%-22s %-42s %-6s %-16s %-16s %s\n",
-		"name", "title", "order", "paper", "computed", "match")
-	mismatches := 0
+// t1Row is one catalog entry of the §4.3 classification table.
+type t1Row struct {
+	Name, Title, Order string
+	Paper, Computed    classify.Class
+}
+
+// table1Rows classifies every catalog entry.
+func table1Rows() ([]t1Row, error) {
+	var rows []t1Row
 	for _, e := range catalog.Entries() {
 		res, err := classify.Classify(e.Pred)
 		if err != nil {
-			return err
-		}
-		match := "OK"
-		if res.Class != e.PaperClass {
-			match = "MISMATCH"
-			mismatches++
+			return nil, err
 		}
 		order := "-"
 		if res.HasCycle {
 			order = fmt.Sprint(res.MinOrder)
 		}
-		fmt.Printf("%-22s %-42s %-6s %-16s %-16s %s\n",
-			e.Name, e.Title, order, e.PaperClass, res.Class, match)
+		rows = append(rows, t1Row{Name: e.Name, Title: e.Title, Order: order, Paper: e.PaperClass, Computed: res.Class})
 	}
-	fmt.Printf("entries: %d, mismatches: %d\n", len(catalog.Entries()), mismatches)
+	return rows, nil
+}
+
+// table1 reproduces the §4.3 classification table over the catalog.
+func table1() error {
+	rows, err := table1Rows()
+	if err != nil {
+		return err
+	}
+	printTable1(rows)
 	return nil
+}
+
+// printTable1 renders T1, paper class against computed class.
+func printTable1(rows []t1Row) {
+	fmt.Println("== T1: classification table (§4.3) — paper class vs computed class ==")
+	fmt.Printf("%-22s %-42s %-6s %-16s %-16s %s\n",
+		"name", "title", "order", "paper", "computed", "match")
+	mismatches := 0
+	for _, r := range rows {
+		match := "OK"
+		if r.Computed != r.Paper {
+			match = "MISMATCH"
+			mismatches++
+		}
+		fmt.Printf("%-22s %-42s %-6s %-16s %-16s %s\n",
+			r.Name, r.Title, r.Order, r.Paper, r.Computed, match)
+	}
+	fmt.Printf("entries: %d, mismatches: %d\n", len(rows), mismatches)
 }
 
 // lemma3 checks the Lemma 3 predicate families exhaustively over bounded
@@ -461,17 +489,25 @@ func exploreData(specs []string) ([]exploreRow, error) {
 // from the default deduplicating search, which covers the same ground in
 // "states" distinct final states.
 func explore(jsonOut bool) error {
-	specs := []string{"fifo", "causal-b2"}
-	rows, err := exploreData(specs)
+	rows, err := exploreData(exploreSpecs)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
 		return printJSON(os.Stdout, rows)
 	}
+	printExplore(rows)
+	return nil
+}
+
+// exploreSpecs are the T3b columns.
+var exploreSpecs = []string{"fifo", "causal-b2"}
+
+// printExplore renders the T3b table.
+func printExplore(rows []exploreRow) {
 	fmt.Println("== T3b: exhaustive schedule exploration — triangle workload, every arrival order ==")
 	fmt.Printf("%-12s %-7s %-7s %-8s %-7s %-10s", "protocol", "orders", "states", "replays", "pruned", "time")
-	for _, s := range specs {
+	for _, s := range exploreSpecs {
 		fmt.Printf(" %-14s", s)
 	}
 	fmt.Println()
@@ -479,7 +515,7 @@ func explore(jsonOut bool) error {
 		fmt.Printf("%-12s %-7d %-7d %-8d %-7d %-10s", row.Protocol, row.Orders, row.Schedules,
 			row.Replays, row.Pruned,
 			(time.Duration(row.ElapsedUS) * time.Microsecond).Round(10*time.Microsecond))
-		for _, s := range specs {
+		for _, s := range exploreSpecs {
 			if c := row.Violations[s]; c == 0 {
 				fmt.Printf(" %-14s", "safe(all)")
 			} else {
@@ -491,7 +527,6 @@ func explore(jsonOut bool) error {
 	fmt.Println("safe(all) is a proof for this workload, not a sample: no schedule exists")
 	fmt.Println("that violates the specification. The deduplicating search visits each")
 	fmt.Println("distinct final state once; 'pruned' counts schedules it never replayed.")
-	return nil
 }
 
 // overheadRow is one (protocol, system size) cell of the overhead
@@ -885,6 +920,12 @@ func faults(jsonOut bool) error {
 	if jsonOut {
 		return printJSON(os.Stdout, rows)
 	}
+	printFaults(rows)
+	return nil
+}
+
+// printFaults renders the E9 table.
+func printFaults(rows []faultsRow) {
 	fmt.Println("== E9: lossy network fault matrix — live harness with reliable transport ==")
 	fmt.Println("cell: retransmits / dups dropped / faults injected, summed over seeds; 'viol' flags spec violations")
 	fmt.Printf("%-12s", "protocol")
@@ -908,7 +949,6 @@ func faults(jsonOut bool) error {
 	fmt.Println("expected shape: every cell is violation-free — the transport restores the")
 	fmt.Println("paper's reliable-channel axioms, so each protocol's guarantees survive the")
 	fmt.Println("faults; retransmit/dup work scales with the injected fault rates.")
-	return nil
 }
 
 // discussion classifies the §5 specifications with explanations.

@@ -19,95 +19,15 @@ import (
 	"msgorder/internal/conformance"
 	"msgorder/internal/event"
 	"msgorder/internal/modrpc"
-	"msgorder/internal/protocols/registry"
 	"msgorder/internal/userview"
 )
-
-// netCellRow is one (protocol, disturbance) cell of the E12 table.
-type netCellRow struct {
-	Cell        string  `json:"cell"`
-	Match       bool    `json:"view_match"`
-	MeshUS      int64   `json:"mesh_elapsed_us"`
-	PerMsgUS    float64 `json:"per_msg_us"`
-	MsgsPerSec  float64 `json:"msgs_per_sec"`
-	Retransmits int     `json:"retransmits"`
-	IdleSkips   int     `json:"idle_skips"`
-	FramesOut   int     `json:"frames_out"`
-	BytesOut    int     `json:"bytes_out"`
-	Faults      int     `json:"faults_injected"`
-	Crashes     int     `json:"crashes"`
-	Recoveries  int     `json:"recoveries"`
-}
-
-// netRow is one protocol's row: the sim baseline plus the mesh cells.
-type netRow struct {
-	Protocol string       `json:"protocol"`
-	SimUS    int64        `json:"sim_elapsed_us"`
-	Msgs     int          `json:"msgs"`
-	Cells    []netCellRow `json:"cells"`
-}
-
-// netData runs the cross-runtime matrix and folds it into rows.
-func netData(msgs int, seed int64) ([]netRow, error) {
-	var protos []conformance.NetProtocol
-	for _, e := range registry.Catalog() {
-		protos = append(protos, conformance.NetProtocol{Name: e.Name, Maker: e.Maker, Colors: e.Colors})
-	}
-	walDir, err := os.MkdirTemp("", "mobench-net-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(walDir)
-	cells, err := conformance.NetMatrix(conformance.NetMatrixConfig{
-		Procs: 3, Msgs: msgs, Seed: seed, WALDir: walDir,
-	}, protos)
-	if err != nil {
-		return nil, err
-	}
-	byProto := map[string]*netRow{}
-	var rows []*netRow
-	for _, c := range cells {
-		row := byProto[c.Protocol]
-		if row == nil {
-			row = &netRow{Protocol: c.Protocol, SimUS: c.SimElapsed.Microseconds(), Msgs: msgs}
-			byProto[c.Protocol] = row
-			rows = append(rows, row)
-		}
-		meshUS := c.MeshElapsed.Microseconds()
-		out := netCellRow{
-			Cell:        c.Cell,
-			Match:       c.Match,
-			MeshUS:      meshUS,
-			PerMsgUS:    float64(meshUS) / float64(msgs),
-			Retransmits: c.Transport.Retransmits,
-			IdleSkips:   c.Transport.IdleSkips,
-			FramesOut:   c.Mesh.FramesOut,
-			BytesOut:    c.Mesh.BytesOut,
-			Faults:      c.Mesh.FaultsInjected,
-			Crashes:     c.Stats.Crashes,
-			Recoveries:  c.Stats.Recoveries,
-		}
-		if meshUS > 0 {
-			out.MsgsPerSec = float64(msgs) / (float64(meshUS) / 1e6)
-		}
-		row.Cells = append(row.Cells, out)
-	}
-	final := make([]netRow, len(rows))
-	for i, r := range rows {
-		final[i] = *r
-	}
-	return final, nil
-}
 
 // netCmd runs E12:
 //
 //	mobench net                    # print the cross-runtime table
-//	mobench net -json              # write BENCH_net.json into -outdir
 //	mobench net -smoke -modbin M   # 3 real mod processes vs sim, diff views
 func netCmd(args []string) error {
 	fs := flag.NewFlagSet("mobench net", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "write the BENCH_net.json snapshot instead of a table")
-	outdir := fs.String("outdir", ".", "directory to write BENCH_net.json into")
 	msgs := fs.Int("msgs", 16, "lockstep workload length per cell")
 	seed := fs.Int64("seed", 5, "workload seed")
 	smoke := fs.Bool("smoke", false, "spawn real mod OS processes and diff their view against the sim")
@@ -121,55 +41,51 @@ func netCmd(args []string) error {
 		}
 		return netSmoke(*modbin, *msgs, *seed)
 	}
-	rows, err := netData(*msgs, *seed)
+	protos, err := conformance.Protocols()
 	if err != nil {
 		return err
 	}
-	mismatches := 0
-	for _, row := range rows {
-		for _, c := range row.Cells {
-			if !c.Match {
-				mismatches++
-			}
-		}
+	walDir, err := os.MkdirTemp("", "mobench-net-*")
+	if err != nil {
+		return err
 	}
-	if *jsonOut {
-		if err := writeBench(*outdir, "BENCH_net.json", "E12 cross-runtime net matrix", rows); err != nil {
+	defer os.RemoveAll(walDir)
+	cells, err := conformance.NetMatrix(conformance.NetMatrixConfig{
+		Procs: 3, Msgs: *msgs, Seed: *seed, WALDir: walDir,
+	}, protos)
+	if err != nil {
+		return err
+	}
+	fmt.Println("== E12: cross-runtime matrix — in-memory sim vs 3-process loopback TCP mesh ==")
+	fmt.Printf("lockstep workload, %d messages; cell: per-msg latency / throughput / retransmits / idle-skips\n", *msgs)
+	fmt.Printf("%-12s %-9s", "protocol", "sim")
+	for _, cell := range conformance.NetMatrixCells() {
+		fmt.Printf(" %-30s", cell)
+	}
+	fmt.Println(" views")
+	perRow := len(conformance.NetMatrixCells())
+	for i := 0; i < len(cells); i += perRow {
+		fmt.Printf("%-12s %-9s", cells[i].Protocol, cells[i].SimElapsed.Round(10*time.Microsecond))
+		views := "identical"
+		for _, c := range cells[i : i+perRow] {
+			perMsg := c.MeshElapsed.Seconds() / float64(*msgs)
+			s := fmt.Sprintf("%.0fµs %.0f/s r%d i%d",
+				perMsg*1e6, 1/perMsg, c.Transport.Retransmits, c.Transport.IdleSkips)
+			if !c.Match {
+				s += " DIVERGED"
+				views = "DIVERGED"
+			}
+			fmt.Printf(" %-30s", s)
+		}
+		fmt.Println(" " + views)
+	}
+	fmt.Println("expected shape: every cell 'identical' — loss and crash-restart are invisible")
+	fmt.Println("in the user view; socket latency dominates per-message cost; idle-skips show")
+	fmt.Println("the retransmit loop parking between lockstep steps.")
+	for _, c := range cells {
+		if err := c.Err(); err != nil {
 			return err
 		}
-	} else {
-		fmt.Println("== E12: cross-runtime matrix — in-memory sim vs 3-process loopback TCP mesh ==")
-		fmt.Printf("lockstep workload, %d messages; cell: per-msg latency / throughput / retransmits / idle-skips\n", *msgs)
-		fmt.Printf("%-12s %-9s", "protocol", "sim")
-		for _, cell := range conformance.NetMatrixCells() {
-			fmt.Printf(" %-30s", cell)
-		}
-		fmt.Println(" views")
-		for _, row := range rows {
-			fmt.Printf("%-12s %-9s", row.Protocol,
-				(time.Duration(row.SimUS) * time.Microsecond).Round(10*time.Microsecond))
-			match := true
-			for _, c := range row.Cells {
-				s := fmt.Sprintf("%.0fµs %.0f/s r%d i%d",
-					c.PerMsgUS, c.MsgsPerSec, c.Retransmits, c.IdleSkips)
-				if !c.Match {
-					s += " DIVERGED"
-					match = false
-				}
-				fmt.Printf(" %-30s", s)
-			}
-			if match {
-				fmt.Println(" identical")
-			} else {
-				fmt.Println(" DIVERGED")
-			}
-		}
-		fmt.Println("expected shape: every cell 'identical' — loss and crash-restart are invisible")
-		fmt.Println("in the user view; socket latency dominates per-message cost; idle-skips show")
-		fmt.Println("the retransmit loop parking between lockstep steps.")
-	}
-	if mismatches > 0 {
-		return fmt.Errorf("%d cells diverged between sim and mesh", mismatches)
 	}
 	return nil
 }
@@ -234,10 +150,11 @@ func spawnMod(modbin string, id int, peers string) (*modProc, error) {
 // sim's. Any divergence (or daemon failure) is a non-zero exit.
 func netSmoke(modbin string, msgCount int, seed int64) error {
 	const procs = 3
-	e, ok := registry.ByName("causal-rst")
-	if !ok {
-		return fmt.Errorf("causal-rst missing from registry")
+	ps, err := conformance.Protocols("causal-rst")
+	if err != nil {
+		return err
 	}
+	e := ps[0]
 	msgs := conformance.NetWorkload(conformance.NetMatrixConfig{
 		Procs: procs, Msgs: msgCount, Seed: seed,
 	}, e.Colors)

@@ -3,21 +3,19 @@
 // + registry, the pipeline the fleet plane scrapes) and the throughput
 // delta is the cost of turning the lights on. A fleet-traced run then
 // scrapes live daemons over HTTP and validates the merged causal
-// timeline — the attribution and skew numbers in the snapshot are
+// timeline — the attribution and skew numbers it reports are
 // backed by that validation, not trusted counters. Finally a traced
 // run repeats with mutex profiling at full sampling and the pprof
-// profile is parsed into the named top-contended-lock table. -json
-// writes BENCH_obs.json and re-validates it, failing on missing rows,
-// zero throughput, runaway overhead or an invalid fleet timeline.
+// profile is parsed into the named top-contended-lock table. The
+// subcommand checks the rows it just built and exits non-zero on
+// missing rows, zero throughput, runaway overhead, an invalid fleet
+// timeline or an empty lock table.
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -25,7 +23,6 @@ import (
 
 	"msgorder/internal/conformance"
 	"msgorder/internal/fleetobs"
-	"msgorder/internal/protocols/registry"
 )
 
 // defaultObsProtos is the E15 protocol pair: one tagged-channel and one
@@ -40,39 +37,39 @@ const defaultObsProtos = "fifo,causal-rst"
 // landing entirely on one arm, and best-of-n keeps scheduler noise out
 // of the delta.
 type obsOverheadRow struct {
-	Protocol        string  `json:"protocol"`
-	Msgs            int     `json:"msgs"`
-	Runs            int     `json:"runs"`
-	UntracedMsgsSec float64 `json:"untraced_msgs_per_sec"`
-	TracedMsgsSec   float64 `json:"traced_msgs_per_sec"`
+	Protocol        string
+	Msgs            int
+	Runs            int
+	UntracedMsgsSec float64
+	TracedMsgsSec   float64
 	// OverheadPct is the throughput lost to tracing, in percent
 	// (negative values are measurement noise on a faster traced run).
-	OverheadPct float64 `json:"overhead_pct"`
-	TracedP50us int64   `json:"traced_p50_us"`
-	TracedP99us int64   `json:"traced_p99_us"`
+	OverheadPct float64
+	TracedP50us int64
+	TracedP99us int64
 }
 
 // obsLockRow is one named entry of the top-contended-lock table parsed
 // from the runtime mutex profile.
 type obsLockRow struct {
-	Site    string `json:"site"`
-	DelayUS int64  `json:"delay_us"`
-	Count   int64  `json:"count"`
+	Site    string
+	DelayUS int64
+	Count   int64
 }
 
-// obsBench is the BENCH_obs.json rows payload.
+// obsBench is the E15 payload.
 type obsBench struct {
 	// Overhead is the traced-vs-untraced throughput table.
-	Overhead []obsOverheadRow `json:"overhead"`
+	Overhead []obsOverheadRow
 	// Fleet is the scraped, merged, causally validated fleet run.
-	Fleet conformance.FleetTraceResult `json:"fleet"`
+	Fleet conformance.FleetTraceResult
 	// FleetKeyed repeats it on the sharded runtime with a keyed
 	// workload, populating the skew report.
-	FleetKeyed conformance.FleetTraceResult `json:"fleet_keyed"`
+	FleetKeyed conformance.FleetTraceResult
 	// MutexFraction is the sampling rate the contention capture ran at.
-	MutexFraction int `json:"mutex_fraction"`
+	MutexFraction int
 	// Contention is the named top-contended-lock table.
-	Contention []obsLockRow `json:"contention"`
+	Contention []obsLockRow
 }
 
 // obsConfig shapes one E15 data collection.
@@ -120,13 +117,9 @@ func measureOverhead(p conformance.NetProtocol, cfg conformance.LoadConfig, runs
 // traced run.
 func obsData(cfg obsConfig) (obsBench, error) {
 	var out obsBench
-	protos := make([]conformance.NetProtocol, 0, len(cfg.protos))
-	for _, name := range cfg.protos {
-		e, ok := registry.ByName(name)
-		if !ok {
-			return out, fmt.Errorf("unknown protocol %q (see 'mobench protocols')", name)
-		}
-		protos = append(protos, conformance.NetProtocol{Name: e.Name, Maker: e.Maker, Colors: e.Colors})
+	protos, err := conformance.Protocols(cfg.protos...)
+	if err != nil {
+		return out, err
 	}
 
 	for _, p := range protos {
@@ -152,7 +145,6 @@ func obsData(cfg obsConfig) (obsBench, error) {
 		Procs: cfg.load.Procs, Msgs: cfg.fleetMsgs,
 		Seed: cfg.load.Seed, Timeout: cfg.load.Timeout,
 	}
-	var err error
 	out.Fleet, err = conformance.RunFleetTraced(protos[len(protos)-1], fcfg)
 	if err != nil {
 		return out, fmt.Errorf("obs fleet: %w", err)
@@ -191,63 +183,44 @@ func obsData(cfg obsConfig) (obsBench, error) {
 	return out, nil
 }
 
-// validateBenchObs re-reads a written BENCH_obs.json and fails unless
-// every overhead row shows nonzero throughput with bounded overhead,
-// both fleet timelines validated causally, and the contention table
-// names at least one lock site — the obs-fleet smoke gate's check.
-func validateBenchObs(path string) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("re-reading %s: %w", path, err)
+// Err reports the payload's first failed check, or nil: every
+// overhead row shows nonzero throughput, both fleet timelines validate
+// causally and saw cross-process traffic, the keyed run produced a
+// skew report, and the contention table names at least one lock site.
+// The overhead ratio is obsCmd's gate, not this one: it is a timing.
+func (b obsBench) Err() error {
+	if len(b.Overhead) == 0 {
+		return fmt.Errorf("no overhead rows")
 	}
-	var f struct {
-		Experiment string   `json:"experiment"`
-		Rows       obsBench `json:"rows"`
-	}
-	if err := json.Unmarshal(b, &f); err != nil {
-		return fmt.Errorf("%s is not valid JSON: %w", path, err)
-	}
-	if f.Experiment == "" || len(f.Rows.Overhead) == 0 {
-		return fmt.Errorf("%s has no overhead rows", path)
-	}
-	for _, r := range f.Rows.Overhead {
+	for _, r := range b.Overhead {
 		if r.UntracedMsgsSec <= 0 || r.TracedMsgsSec <= 0 {
-			return fmt.Errorf("%s: %s reports zero throughput", path, r.Protocol)
-		}
-		// The recorded expectation is ≤15%; the in-file gate allows
-		// scheduler noise on loaded CI boxes without passing a real
-		// regression.
-		if r.OverheadPct > 50 {
-			return fmt.Errorf("%s: %s tracing overhead %.1f%% (gate: 50%%)", path, r.Protocol, r.OverheadPct)
+			return fmt.Errorf("%s reports zero throughput", r.Protocol)
 		}
 	}
 	for name, res := range map[string]conformance.FleetTraceResult{
-		"fleet": f.Rows.Fleet, "fleet_keyed": f.Rows.FleetKeyed,
+		"fleet": b.Fleet, "fleet keyed": b.FleetKeyed,
 	} {
 		if err := res.Check.Err(); err != nil {
-			return fmt.Errorf("%s: %s timeline invalid: %w", path, name, err)
+			return fmt.Errorf("%s timeline invalid: %w", name, err)
 		}
 		if res.Check.Receives == 0 {
-			return fmt.Errorf("%s: %s timeline saw no cross-process traffic", path, name)
+			return fmt.Errorf("%s timeline saw no cross-process traffic", name)
 		}
 	}
-	if f.Rows.FleetKeyed.Skew.Deliveries == 0 {
-		return fmt.Errorf("%s: keyed fleet run produced no skew report", path)
+	if b.FleetKeyed.Skew.Deliveries == 0 {
+		return fmt.Errorf("keyed fleet run produced no skew report")
 	}
-	if len(f.Rows.Contention) == 0 {
-		return fmt.Errorf("%s: contention table is empty (mutex fraction %d)", path, f.Rows.MutexFraction)
+	if len(b.Contention) == 0 {
+		return fmt.Errorf("contention table is empty (mutex fraction %d)", b.MutexFraction)
 	}
 	return nil
 }
 
 // obsCmd runs E15:
 //
-//	mobench obs            # print the overhead / attribution / lock tables
-//	mobench obs -json      # write + re-validate BENCH_obs.json
+//	mobench obs            # print and check the overhead / attribution / lock tables
 func obsCmd(args []string) error {
 	fs := flag.NewFlagSet("mobench obs", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "write the BENCH_obs.json snapshot instead of tables")
-	outdir := fs.String("outdir", ".", "directory to write BENCH_obs.json into")
 	msgs := fs.Int("msgs", 10000, "open-loop workload length per overhead run")
 	runs := fs.Int("runs", 3, "interleaved untraced/traced pairs per protocol; best per arm wins")
 	seed := fs.Int64("seed", 5, "workload seed")
@@ -271,12 +244,6 @@ func obsCmd(args []string) error {
 	rows, err := obsData(cfg)
 	if err != nil {
 		return err
-	}
-	if *jsonOut {
-		if err := writeBench(*outdir, "BENCH_obs.json", "E15 observability-plane overhead and fleet timeline audit", rows); err != nil {
-			return err
-		}
-		return validateBenchObs(filepath.Join(*outdir, "BENCH_obs.json"))
 	}
 	fmt.Println("== E15: observability-plane overhead — traced vs untraced mesh load ==")
 	fmt.Printf("%-12s %14s %14s %9s %10s %10s\n",
@@ -311,26 +278,15 @@ func obsCmd(args []string) error {
 	fmt.Println("causally valid with zero orphaned receives; a short lock table —")
 	fmt.Println("batching keeps the node lock uncontended, so what remains is the")
 	fmt.Println("mesh connection-writer locks.")
+	if err := rows.Err(); err != nil {
+		return err
+	}
+	// The recorded expectation is ≤15%; the gate allows scheduler noise
+	// on loaded CI boxes without passing a real regression.
+	for _, r := range rows.Overhead {
+		if r.OverheadPct > 50 {
+			return fmt.Errorf("%s tracing overhead %.1f%% (gate: 50%%)", r.Protocol, r.OverheadPct)
+		}
+	}
 	return nil
-}
-
-// benchObs writes and re-validates the BENCH_obs.json snapshot for
-// 'mobench bench' (shorter runs than the standalone subcommand's
-// defaults, so the full snapshot regeneration stays quick).
-func benchObs(outdir string) error {
-	rows, err := obsData(obsConfig{
-		protos:    strings.Split(defaultObsProtos, ","),
-		load:      conformance.LoadConfig{Procs: 3, Msgs: 10000, Seed: 5},
-		runs:      3,
-		fleetMsgs: 150,
-		keys:      8,
-		mutexFrac: 1,
-	})
-	if err != nil {
-		return err
-	}
-	if err := writeBench(outdir, "BENCH_obs.json", "E15 observability-plane overhead and fleet timeline audit", rows); err != nil {
-		return err
-	}
-	return validateBenchObs(filepath.Join(outdir, "BENCH_obs.json"))
 }

@@ -1,6 +1,5 @@
-// The trace and bench subcommands: E10's instrumented run exported as
-// Chrome trace-event JSON (load in Perfetto / chrome://tracing), and the
-// machine-readable benchmark snapshots checked in at the repo root.
+// The trace subcommand: E10's instrumented run exported as Chrome
+// trace-event JSON (load in Perfetto / chrome://tracing) or NDJSON.
 package main
 
 import (
@@ -9,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"time"
 
 	"msgorder/internal/conformance"
 	"msgorder/internal/obs"
@@ -141,81 +138,4 @@ func traceCmd(args []string) error {
 		fmt.Fprintln(os.Stderr, "trace: chrome trace validated (monotone tracks, every deliver after its send)")
 	}
 	return nil
-}
-
-// benchFile is the envelope written for each BENCH_*.json snapshot.
-type benchFile struct {
-	Experiment  string `json:"experiment"`
-	GeneratedAt string `json:"generated_at"`
-	Rows        any    `json:"rows"`
-}
-
-// writeBench writes one BENCH_*.json snapshot into outdir, creating
-// the directory if missing.
-func writeBench(outdir, name, experiment string, rows any) error {
-	if err := os.MkdirAll(outdir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(outdir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := printJSON(f, benchFile{
-		Experiment:  experiment,
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Rows:        rows,
-	}); err != nil {
-		return err
-	}
-	fmt.Println("wrote", path)
-	return nil
-}
-
-// benchCmd regenerates the machine-readable benchmark snapshots at the
-// repo root (or -outdir): BENCH_explore.json, BENCH_faults.json,
-// BENCH_crashes.json, BENCH_net.json, BENCH_obs.json, BENCH_churn.json
-// and BENCH_mux.json.
-func benchCmd(args []string) error {
-	fs := flag.NewFlagSet("mobench bench", flag.ContinueOnError)
-	outdir := fs.String("outdir", ".", "directory to write BENCH_*.json into")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	exploreRows, err := exploreData([]string{"fifo", "causal-b2"})
-	if err != nil {
-		return err
-	}
-	if err := writeBench(*outdir, "BENCH_explore.json", "T3b exhaustive schedule exploration", exploreRows); err != nil {
-		return err
-	}
-	faultsRows, err := faultsData()
-	if err != nil {
-		return err
-	}
-	if err := writeBench(*outdir, "BENCH_faults.json", "E9 lossy-network fault matrix", faultsRows); err != nil {
-		return err
-	}
-	crashesRows, err := crashesData()
-	if err != nil {
-		return err
-	}
-	if err := writeBench(*outdir, "BENCH_crashes.json", "E11 crash/recovery matrix", crashesRows); err != nil {
-		return err
-	}
-	netRows, err := netData(16, 5)
-	if err != nil {
-		return err
-	}
-	if err := writeBench(*outdir, "BENCH_net.json", "E12 cross-runtime net matrix", netRows); err != nil {
-		return err
-	}
-	if err := benchObs(*outdir); err != nil {
-		return err
-	}
-	if err := benchChurn(*outdir); err != nil {
-		return err
-	}
-	return benchMux(*outdir)
 }

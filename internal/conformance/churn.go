@@ -39,21 +39,13 @@ import (
 	"msgorder/internal/crash"
 	"msgorder/internal/event"
 	"msgorder/internal/member"
-	"msgorder/internal/predicate"
 	"msgorder/internal/protocol"
 	"msgorder/internal/transport"
 )
 
-// ChurnProtocol names one protocol for the churn matrix.
-type ChurnProtocol struct {
-	Name  string
-	Maker protocol.Maker
-	// Colors is the workload color mix (nil = colorless).
-	Colors []event.Color
-	// Pred, when non-nil, is the forbidden-predicate specification the
-	// final mesh view is validated against.
-	Pred *predicate.Predicate
-}
+// ChurnProtocol names one protocol for the churn matrix; its Pred, when
+// set, is checked against every cell's final mesh view.
+type ChurnProtocol = NetProtocol
 
 // ChurnConfig shapes the churn sweep.
 type ChurnConfig struct {
@@ -108,6 +100,8 @@ type ChurnCell struct {
 	Protocol string `json:"protocol"`
 	Op       string `json:"op"`
 	Env      string `json:"env"`
+	// Procs is the mesh size; the churned process is its last slot.
+	Procs int `json:"procs"`
 	// Match reports the surviving members' user view equals the sim
 	// reference byte for byte (the acceptance criterion).
 	Match bool `json:"match"`
@@ -130,6 +124,33 @@ type ChurnCell struct {
 	// SimElapsed and MeshElapsed are the wall-clock run times.
 	SimElapsed  time.Duration `json:"sim_elapsed_ns"`
 	MeshElapsed time.Duration `json:"mesh_elapsed_ns"`
+}
+
+// churnEpoch is the final membership epoch each operation must reach:
+// join is a leave plus a join, leave and evict are one view change,
+// and handoff migrates the same logical member with no view change.
+var churnEpoch = map[string]uint64{"join": 2, "leave": 1, "evict": 1, "handoff": 0}
+
+// Err reports why the cell fails its acceptance check, or nil: the
+// surviving views must match the sim reference and satisfy the
+// protocol's specification, the epoch must be the operation's, an
+// evict cell must have evicted exactly the churned process, and the
+// validated view must cover at least one message.
+func (c ChurnCell) Err() error {
+	name := c.Protocol + "/" + c.Op + "/" + c.Env
+	switch {
+	case !c.Match:
+		return fmt.Errorf("%s: surviving views diverge from sim\n sim: %s\nmesh: %s", name, c.SimKey, c.MeshKey)
+	case c.SpecViolation:
+		return fmt.Errorf("%s: mesh view violates the protocol's specification", name)
+	case c.Epoch != churnEpoch[c.Op]:
+		return fmt.Errorf("%s: epoch %d, want %d", name, c.Epoch, churnEpoch[c.Op])
+	case c.Op == "evict" && (len(c.Evicted) != 1 || c.Evicted[0] != c.Procs-1):
+		return fmt.Errorf("%s: evicted %v, want exactly the churned process P%d", name, c.Evicted, c.Procs-1)
+	case c.Msgs <= 0:
+		return fmt.Errorf("%s: validated view covers no messages", name)
+	}
+	return nil
 }
 
 // ChurnMatrix sweeps every protocol through every (op, env) churn
@@ -359,7 +380,7 @@ func runChurnCell(p ChurnProtocol, cfg ChurnConfig, op, env string) (ChurnCell, 
 		return ChurnCell{}, err
 	}
 	cell := ChurnCell{
-		Protocol: p.Name, Op: op, Env: env,
+		Protocol: p.Name, Op: op, Env: env, Procs: cfg.Procs,
 		Epoch: tracker.Epoch(), Msgs: len(simMsgs), Stats: t.stats,
 		SimKey: simView.Key(), MeshKey: t.view.Key(),
 		SimElapsed: simElapsed, MeshElapsed: elapsed,

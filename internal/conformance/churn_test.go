@@ -1,65 +1,36 @@
 package conformance
 
 import (
+	"fmt"
+	"slices"
 	"testing"
-
-	"msgorder/internal/protocols/registry"
 )
 
-// churnProtocols adapts registry entries (the catalog plus the live
-// handoff protocol) to the churn matrix input, predicates included.
-func churnProtocols(names ...string) []ChurnProtocol {
-	var out []ChurnProtocol
-	for _, name := range names {
-		e, ok := registry.ByName(name)
-		if !ok {
-			panic("unknown protocol " + name)
-		}
-		out = append(out, ChurnProtocol{Name: e.Name, Maker: e.Maker, Colors: e.Colors, Pred: e.Pred()})
-	}
-	return out
-}
-
-func assertChurnCells(t *testing.T, cells []ChurnCell, wantCells int) {
+// assertChurnCells checks the cell count and every cell's acceptance
+// check, and returns the cells' golden lines.
+func assertChurnCells(t *testing.T, cells []ChurnCell, wantCells int) []string {
 	t.Helper()
 	if len(cells) != wantCells {
 		t.Fatalf("matrix has %d cells, want %d", len(cells), wantCells)
 	}
+	var lines []string
 	for _, c := range cells {
-		if !c.Match {
-			t.Errorf("%s/%s/%s: surviving views diverge from sim\n sim: %s\nmesh: %s",
-				c.Protocol, c.Op, c.Env, c.SimKey, c.MeshKey)
-			continue
+		if err := c.Err(); err != nil {
+			t.Error(err)
 		}
-		if c.SpecViolation {
-			t.Errorf("%s/%s/%s: mesh view violates the protocol's spec", c.Protocol, c.Op, c.Env)
-		}
-		var wantEpoch uint64
-		switch c.Op {
-		case "join":
-			wantEpoch = 2 // leave + join
-		case "leave", "evict":
-			wantEpoch = 1
-		case "handoff":
-			wantEpoch = 0 // same logical member, no view change
-		}
-		if c.Epoch != wantEpoch {
-			t.Errorf("%s/%s/%s: epoch %d, want %d", c.Protocol, c.Op, c.Env, c.Epoch, wantEpoch)
-		}
-		if c.Op == "evict" && (len(c.Evicted) != 1 || c.Evicted[0] != 3-1) {
-			t.Errorf("%s/%s/%s: evicted %v, want exactly the churned process",
-				c.Protocol, c.Op, c.Env, c.Evicted)
-		}
+		lines = append(lines, fmt.Sprintf("%s/%s/%s match=%t spec-violation=%t epoch=%d evicted=%v msgs=%d %s",
+			c.Protocol, c.Op, c.Env, c.Match, c.SpecViolation, c.Epoch, c.Evicted, c.Msgs, viewField(c.SimKey, c.MeshKey)))
 	}
+	return lines
 }
 
 // TestChurnMatrixSmoke runs one cheap protocol through every churn op
 // under the clean environment — the fast gate that always runs.
 func TestChurnMatrixSmoke(t *testing.T) {
-	protos := churnProtocols("fifo")
+	p := protocols(t, "fifo")[0]
 	var cells []ChurnCell
 	for _, op := range ChurnOps() {
-		cell, err := runChurnCell(protos[0], ChurnConfig{WALDir: t.TempDir()}.withDefaults(), op, "clean")
+		cell, err := runChurnCell(p, ChurnConfig{WALDir: t.TempDir()}.withDefaults(), op, "clean")
 		if err != nil {
 			t.Fatalf("%s/clean: %v", op, err)
 		}
@@ -71,21 +42,29 @@ func TestChurnMatrixSmoke(t *testing.T) {
 // TestChurnMatrixAllProtocolsAllCells is the membership acceptance
 // gate: every catalog protocol plus the live §5 handoff protocol must
 // survive every (op, env) churn cell — joiners byte-identical after
-// state transfer, evictions exact, views matching the sim reference.
+// state transfer, evictions exact, views matching the sim reference
+// and testdata/churn.golden. Most of a cell's wall time is spent
+// waiting out retransmission timeouts, so protocols run as parallel
+// subtests (up to -parallel at once), each on its own meshes.
 func TestChurnMatrixAllProtocolsAllCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second churn matrix")
 	}
-	names := make([]string, 0, len(registry.Catalog())+1)
-	for _, e := range registry.Catalog() {
-		names = append(names, e.Name)
-	}
-	names = append(names, "handoff")
-	cells, err := ChurnMatrix(ChurnConfig{Seed: 3, WALDir: t.TempDir()}, churnProtocols(names...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertChurnCells(t, cells, len(names)*len(ChurnOps())*len(ChurnEnvs()))
+	protos := append(protocols(t), protocols(t, "handoff")...)
+	lines := make([][]string, len(protos))
+	t.Run("protocol", func(t *testing.T) {
+		for i, p := range protos {
+			t.Run(p.Name, func(t *testing.T) {
+				t.Parallel()
+				cells, err := ChurnMatrix(ChurnConfig{Seed: 3, WALDir: t.TempDir()}, []NetProtocol{p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines[i] = assertChurnCells(t, cells, len(ChurnOps())*len(ChurnEnvs()))
+			})
+		}
+	})
+	checkGolden(t, "churn", slices.Concat(lines...))
 }
 
 // TestChurnMatrixValidatesConfig pins the required-config errors.

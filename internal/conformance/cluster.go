@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"msgorder/internal/chanmux"
@@ -41,24 +42,59 @@ var (
 // stays open until the whole set is picked: released one at a time, the
 // kernel hands the same port out twice about once in 4 000 three-port
 // sets, and the second process to bind it fails with "address already
-// in use".
+// in use". It never returns a port a live cell of this process holds.
 func LoopbackAddrs(n int) ([]string, error) {
-	addrs := make([]string, n)
-	lns := make([]net.Listener, 0, n)
+	addrs, err := holdAddrs(n)
+	releaseAddrs(addrs)
+	return addrs, err
+}
+
+// held is the set of loopback ports the live cells of this process own.
+// A cell owns its ports from reservation to close, through every gap in
+// which none of its processes listens on one — before boot, and after a
+// departure, a crash or an eviction — so that concurrent cells cannot
+// pick it up: a cell's peers still dial a departed process's port, and
+// would reach another cell's node there.
+var held = struct {
+	sync.Mutex
+	ports map[string]bool
+}{ports: map[string]bool{}}
+
+// holdAddrs reserves n loopback addresses, as LoopbackAddrs, and holds
+// them until releaseAddrs.
+func holdAddrs(n int) ([]string, error) {
+	held.Lock()
+	defer held.Unlock()
+	addrs := make([]string, 0, n)
+	var lns []net.Listener
 	defer func() {
 		for _, ln := range lns {
 			ln.Close()
 		}
 	}()
-	for i := range addrs {
+	for len(addrs) < n {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
 		lns = append(lns, ln)
-		addrs[i] = ln.Addr().String()
+		if a := ln.Addr().String(); !held.ports[a] {
+			addrs = append(addrs, a)
+		}
+	}
+	for _, a := range addrs {
+		held.ports[a] = true
 	}
 	return addrs, nil
+}
+
+// releaseAddrs returns held addresses to the kernel's pool.
+func releaseAddrs(addrs []string) {
+	held.Lock()
+	defer held.Unlock()
+	for _, a := range addrs {
+		delete(held.ports, a)
+	}
 }
 
 // endpoint is one process's end of one ordering domain: a netmesh node
@@ -122,7 +158,7 @@ type cluster struct {
 // newCluster reserves the cell's ports and boots every process; a mux
 // cell then opens each domain's channel on every mux.
 func newCluster(s cellSpec) (*cluster, error) {
-	addrs, err := LoopbackAddrs(s.procs)
+	addrs, err := holdAddrs(s.procs)
 	if err != nil {
 		return nil, err
 	}
@@ -240,6 +276,7 @@ func (c *cluster) close() {
 			m.Close()
 		}
 	}
+	releaseAddrs(c.addrs)
 }
 
 // domain names domain d in errors.

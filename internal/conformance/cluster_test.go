@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"msgorder/internal/event"
-	"msgorder/internal/protocols/registry"
 	"msgorder/internal/transport"
 )
 
@@ -19,14 +18,10 @@ func TestStuckCellFailsWithMeshState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cell")
 	}
-	e, ok := registry.ByName("fifo")
-	if !ok {
-		t.Fatal("fifo missing from registry")
-	}
 	inj := transport.NewInjector(transport.FaultPlan{Seed: 1})
 	inj.CutOneWay([]event.ProcID{0}, []event.ProcID{1}, -1)
 	c, err := newCluster(cellSpec{
-		name: "fifo/cut", procs: 3, seed: 1, maker: e.Maker,
+		name: "fifo/cut", procs: 3, seed: 1, maker: protocols(t, "fifo")[0].Maker,
 		inj: inj, wait: 200 * time.Millisecond,
 	})
 	if err != nil {

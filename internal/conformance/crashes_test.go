@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -38,11 +39,13 @@ func TestCrashRestartConformance(t *testing.T) {
 // TestCrashMatrixSweep smoke-tests the matrix driver: a restart plan
 // must leave nothing undelivered, a stop plan may lose only the dead
 // process's mail, and neither may violate causal ordering on the
-// delivered prefix.
+// delivered prefix. testdata/crashes.golden records the verdicts; the
+// stop cell's undelivered count varies run to run and stays out.
 func TestCrashMatrixSweep(t *testing.T) {
 	cfg := Config{Maker: causal.RSTMaker, Procs: 3, InitialMsgs: 30}
 	restartPlan := crash.RestartStagger([]event.ProcID{1}, 20, 0, 5*time.Millisecond)
 	restartPlan.SnapshotEvery = 8
+	names := []string{"restart-p1", "stop-p2"}
 	plans := []crash.Plan{restartPlan, crash.StopOne(2, 25)}
 	cells, err := CrashMatrix(cfg, plans, 2, pred(t, "causal-b2"))
 	if err != nil {
@@ -51,14 +54,15 @@ func TestCrashMatrixSweep(t *testing.T) {
 	if len(cells) != 2 {
 		t.Fatalf("cells = %d, want 2", len(cells))
 	}
+	var lines []string
 	for i, cell := range cells {
-		if cell.Runs != 2 {
-			t.Fatalf("cell %d: runs = %d, want 2", i, cell.Runs)
-		}
 		if cell.Violations != 0 {
-			t.Fatalf("cell %d: %d violations on the delivered prefix", i, cell.Violations)
+			t.Errorf("%s: %d violations on the delivered prefix", names[i], cell.Violations)
 		}
+		lines = append(lines, fmt.Sprintf("causal-rst/%s runs=%d violations=%d crashes=%d recoveries=%d",
+			names[i], cell.Runs, cell.Violations, cell.Stats.Crashes, cell.Stats.Recoveries))
 	}
+	checkGolden(t, "crashes", lines)
 	restart, stop := cells[0], cells[1]
 	if restart.Undelivered != 0 {
 		t.Fatalf("restart cell lost %d messages", restart.Undelivered)

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"msgorder/internal/catalog"
@@ -142,9 +143,11 @@ func TestSeededLossPerClass(t *testing.T) {
 
 // TestFaultMatrixSweep smoke-tests the matrix driver: a fault-free
 // cell must report zero transport work, a lossy cell nonzero, and the
-// FIFO protocol must stay violation-free in both.
+// FIFO protocol must stay violation-free in both, as
+// testdata/faults.golden records.
 func TestFaultMatrixSweep(t *testing.T) {
 	cfg := Config{Maker: fifo.Maker, Procs: 2, InitialMsgs: 15}
+	names := []string{"fault-free", "drop25+dup10"}
 	plans := []transport.FaultPlan{
 		{}, // fault-free baseline (still on the live harness)
 		{DropRate: 0.25, DupRate: 0.1},
@@ -156,14 +159,14 @@ func TestFaultMatrixSweep(t *testing.T) {
 	if len(cells) != 2 {
 		t.Fatalf("cells = %d, want 2", len(cells))
 	}
+	var lines []string
 	for i, cell := range cells {
-		if cell.Runs != 2 {
-			t.Fatalf("cell %d: runs = %d, want 2", i, cell.Runs)
-		}
 		if cell.Violations != 0 {
-			t.Fatalf("cell %d: %d violations", i, cell.Violations)
+			t.Errorf("%s: %d violations", names[i], cell.Violations)
 		}
+		lines = append(lines, fmt.Sprintf("fifo/%s runs=%d violations=%d", names[i], cell.Runs, cell.Violations))
 	}
+	checkGolden(t, "faults", lines)
 	// The fault-free cell may see the odd spurious retransmit under a
 	// slow scheduler, but no faults can have been injected.
 	if cells[0].Stats.FaultsInjected != 0 {

@@ -1,10 +1,6 @@
 package conformance
 
-import (
-	"testing"
-
-	"msgorder/internal/protocols/registry"
-)
+import "testing"
 
 // TestFleetTraceSmoke is the observability-plane acceptance gate: a
 // 3-process instrumented loopback mesh is scraped live over HTTP, and
@@ -17,11 +13,7 @@ func TestFleetTraceSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a socket mesh with HTTP scraping")
 	}
-	e, ok := registry.ByName("causal-rst")
-	if !ok {
-		t.Fatal("causal-rst missing from catalog")
-	}
-	p := NetProtocol{Name: e.Name, Maker: e.Maker, Colors: e.Colors}
+	p := protocols(t, "causal-rst")[0]
 	res, err := RunFleetTraced(p, FleetTraceConfig{Procs: 3, Msgs: 120, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -53,11 +45,7 @@ func TestFleetTraceKeyedSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a socket mesh with HTTP scraping")
 	}
-	e, ok := registry.ByName("fifo")
-	if !ok {
-		t.Fatal("fifo missing from catalog")
-	}
-	p := NetProtocol{Name: e.Name, Maker: e.Maker, Colors: e.Colors}
+	p := protocols(t, "fifo")[0]
 	res, err := RunFleetTraced(p, FleetTraceConfig{Procs: 3, Msgs: 90, Seed: 3, Keys: 6, TopK: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -30,6 +30,8 @@ type MuxCell struct {
 	// Cell names the mesh-side disturbance: clean, lossy, or
 	// crash-restart.
 	Cell string
+	// Procs is the size of the shared mesh.
+	Procs int
 	// Match reports per-channel view equality with the standalone sim
 	// reference (the acceptance criterion).
 	Match bool
@@ -48,6 +50,31 @@ type MuxCell struct {
 	// side timed the whole interleaved round-robin, so it is shared by
 	// every row of the cell.
 	SimElapsed, MuxElapsed time.Duration
+}
+
+// Err reports why the cell fails its acceptance check, or nil: on top
+// of NetCell's clauses, no envelope may be dropped for an unknown
+// channel, the channels must share one mesh (at most one accepted
+// connection per directed peer pair), and a tagless channel must pay
+// no tag bytes and no control messages while tagged channels share its
+// connections.
+func (c MuxCell) Err() error {
+	name := c.Protocol + "/" + c.Cell
+	switch {
+	case !c.Match || c.SimKey == "":
+		return fmt.Errorf("%s: multiplexed view diverges from standalone\n sim: %s\n mux: %s",
+			name, c.SimKey, c.MuxKey)
+	case c.UnknownDrops != 0:
+		return fmt.Errorf("%s: %d envelopes dropped as unknown under symmetric opens", name, c.UnknownDrops)
+	case c.Mesh.FramesIn == 0 || c.Mesh.FramesOut == 0:
+		return fmt.Errorf("%s: no frames crossed the shared sockets", name)
+	case c.Mesh.Accepted > c.Procs*(c.Procs-1):
+		return fmt.Errorf("%s: %d accepted connections — channels are not sharing the mesh", name, c.Mesh.Accepted)
+	case c.Protocol == "tagless" && (c.Stats.UserTagBytes != 0 || c.Stats.ControlMessages != 0):
+		return fmt.Errorf("%s: tagless channel paid overhead while multiplexed: tags=%d ctrl=%d",
+			name, c.Stats.UserTagBytes, c.Stats.ControlMessages)
+	}
+	return cellDisturbanceErr(name, c.Cell, c.Mesh, c.Stats)
 }
 
 // MuxMatrix runs the multi-tenant conformance sweep: every protocol
@@ -83,7 +110,7 @@ func MuxMatrix(cfg NetMatrixConfig, protos []NetProtocol) ([]MuxCell, error) {
 			d := o.domains[ci]
 			muxKey := d.view.Key()
 			cells = append(cells, MuxCell{
-				Protocol: p.Name, Cell: cell, Match: simKeys[ci] == muxKey, SimKey: simKeys[ci], MuxKey: muxKey,
+				Protocol: p.Name, Cell: cell, Procs: cfg.Procs, Match: simKeys[ci] == muxKey, SimKey: simKeys[ci], MuxKey: muxKey,
 				Stats: d.stats, Transport: d.transport, Mesh: o.mesh, UnknownDrops: o.drops,
 				SimElapsed: simTimes[ci], MuxElapsed: o.elapsed,
 			})

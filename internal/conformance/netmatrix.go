@@ -20,19 +20,45 @@ import (
 
 	"msgorder/internal/event"
 	"msgorder/internal/netmesh"
+	"msgorder/internal/predicate"
 	"msgorder/internal/protocol"
+	"msgorder/internal/protocols/registry"
 	"msgorder/internal/sim"
 	"msgorder/internal/transport"
 	"msgorder/internal/userview"
 )
 
-// NetProtocol names one protocol for the net matrix (the caller
-// supplies makers so this package stays protocol-agnostic).
+// NetProtocol names one protocol for the mesh-backed matrices (the
+// caller supplies makers so the runners stay protocol-agnostic).
 type NetProtocol struct {
 	Name  string
 	Maker protocol.Maker
 	// Colors is the workload color mix (nil = colorless).
 	Colors []event.Color
+	// Pred, when non-nil, is the forbidden-predicate specification the
+	// churn matrix validates its final mesh view against.
+	Pred *predicate.Predicate
+}
+
+// Protocols resolves registry protocol names into matrix inputs,
+// specification predicates included; no names means the registry's
+// 8-protocol catalog. mobench and the tests both build their rows
+// through it, so a protocol name means one thing in every matrix.
+func Protocols(names ...string) ([]NetProtocol, error) {
+	if len(names) == 0 {
+		for _, e := range registry.Catalog() {
+			names = append(names, e.Name)
+		}
+	}
+	out := make([]NetProtocol, 0, len(names))
+	for _, name := range names {
+		e, ok := registry.ByName(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown protocol %q (see 'mobench protocols')", name)
+		}
+		out = append(out, NetProtocol{Name: e.Name, Maker: e.Maker, Colors: e.Colors, Pred: e.Pred()})
+	}
+	return out, nil
 }
 
 // NetMatrixConfig shapes the cross-runtime sweep.
@@ -77,6 +103,33 @@ type NetCell struct {
 	Mesh netmesh.Counters
 	// SimElapsed and MeshElapsed are the wall-clock run times.
 	SimElapsed, MeshElapsed time.Duration
+}
+
+// Err reports why the cell fails its acceptance check, or nil: the
+// views must match, frames must have crossed the sockets, a lossy cell
+// must have injected faults, and a crash-restart cell must record
+// exactly one crash and one recovery.
+func (c NetCell) Err() error {
+	switch {
+	case !c.Match || c.SimKey == "":
+		return fmt.Errorf("%s/%s: views diverge across runtimes\n sim: %s\nmesh: %s",
+			c.Protocol, c.Cell, c.SimKey, c.MeshKey)
+	case c.Mesh.FramesIn == 0 || c.Mesh.FramesOut == 0:
+		return fmt.Errorf("%s/%s: no frames crossed the sockets", c.Protocol, c.Cell)
+	}
+	return cellDisturbanceErr(c.Protocol+"/"+c.Cell, c.Cell, c.Mesh, c.Stats)
+}
+
+// cellDisturbanceErr checks that a lossy or crash-restart cell was
+// really disturbed: the net and mux matrices share this clause.
+func cellDisturbanceErr(name, cell string, mesh netmesh.Counters, st protocol.Stats) error {
+	switch {
+	case cell == "lossy" && mesh.FaultsInjected == 0:
+		return fmt.Errorf("%s: no faults injected — cell degenerated to clean", name)
+	case cell == "crash-restart" && (st.Crashes != 1 || st.Recoveries != 1):
+		return fmt.Errorf("%s: crashes/recoveries = %d/%d, want 1/1", name, st.Crashes, st.Recoveries)
+	}
+	return nil
 }
 
 // NetWorkload derives the lockstep message list from the same seeded

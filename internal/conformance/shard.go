@@ -84,6 +84,16 @@ type ShardCell struct {
 	Elapsed time.Duration
 }
 
+// Err reports why the cell fails its acceptance check, or nil: every
+// domain's projection must match its unsharded single-key run.
+func (c ShardCell) Err() error {
+	if !c.Match {
+		return fmt.Errorf("%s/%s: key %#x diverged from its unsharded single-key run",
+			c.Protocol, c.Runtime, uint64(c.MismatchKey))
+	}
+	return nil
+}
+
 // shardRefs runs each ordering domain's sub-workload alone on the
 // unsharded protocol and returns the canonical reference view per key.
 func shardRefs(p NetProtocol, cfg NetMatrixConfig, msgs []event.Message) (map[event.Key]string, error) {

@@ -1,9 +1,8 @@
 package conformance
 
 import (
+	"fmt"
 	"testing"
-
-	"msgorder/internal/protocols/registry"
 )
 
 // TestShardMatrixAllProtocols is the sharding acceptance gate: for
@@ -16,31 +15,30 @@ func TestShardMatrixAllProtocols(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second socket matrix")
 	}
+	protos := protocols(t)
 	cells, err := ShardMatrix(ShardMatrixConfig{
 		Procs: 3, Msgs: 24, Seed: 5, Keys: 6,
-	}, catalogNetProtocols())
+	}, protos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCells := len(registry.Catalog()) * 2
-	if len(cells) != wantCells {
-		t.Fatalf("matrix has %d cells, want %d", len(cells), wantCells)
+	if want := len(protos) * 2; len(cells) != want {
+		t.Fatalf("matrix has %d cells, want %d", len(cells), want)
 	}
+	var lines []string
 	for _, c := range cells {
-		if !c.Match {
-			t.Errorf("%s/%s: key %#x diverged from its unsharded single-key run",
-				c.Protocol, c.Runtime, uint64(c.MismatchKey))
+		if err := c.Err(); err != nil {
+			t.Error(err)
 		}
+		lines = append(lines, fmt.Sprintf("%s/%s keys=%d match=%t", c.Protocol, c.Runtime, c.Keys, c.Match))
 	}
+	checkGolden(t, "shard", lines)
 }
 
 // TestShardMatrixDefaults exercises the zero-value config path on one
 // cheap protocol.
 func TestShardMatrixDefaults(t *testing.T) {
-	e := registry.Catalog()[0]
-	cells, err := ShardMatrix(ShardMatrixConfig{Msgs: 8}, []NetProtocol{
-		{Name: e.Name, Maker: e.Maker, Colors: e.Colors},
-	})
+	cells, err := ShardMatrix(ShardMatrixConfig{Msgs: 8}, protocols(t)[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +46,8 @@ func TestShardMatrixDefaults(t *testing.T) {
 		t.Fatalf("got %d cells, want 2", len(cells))
 	}
 	for _, c := range cells {
-		if !c.Match {
-			t.Fatalf("%s/%s diverged at key %#x", c.Protocol, c.Runtime, uint64(c.MismatchKey))
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
 		}
 		if c.Keys != 8 {
 			t.Fatalf("default Keys = %d, want 8", c.Keys)
