@@ -1,6 +1,8 @@
 package causal
 
 import (
+	"slices"
+
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
 	"msgorder/internal/snapio"
@@ -25,14 +27,21 @@ type BSS struct {
 	// vcDel[k] = broadcasts by process k delivered here. The own entry
 	// counts this process's broadcasts (delivered locally by fiat).
 	vcDel vc.Vector
-	held  []heldBSS
-	snap  snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
+	// held buffers received-but-undeliverable copies; stamps.at(i) is
+	// held[i]'s vector timestamp.
+	held   []heldBSS
+	stamps rows
+	// tags is the arena OnBroadcast carves its tags from; enc is the
+	// encoding OnBroadcast and Snapshot write first.
+	tags protocol.TagArena
+	enc  []byte
+	snap snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
 }
 
 type heldBSS struct {
 	id   event.MsgID
 	from event.ProcID
-	tag  vc.Vector
+	tag  []byte // the wire's encoded vector (after the kind byte), validated
 }
 
 // bssKind prefixes the wire tag.
@@ -40,6 +49,9 @@ const (
 	bssPlain byte = iota + 1 // untagged unicast fallback
 	bssCast                  // broadcast copy, vector follows
 )
+
+// plainTag is every stray unicast's tag, shared: tags are immutable.
+var plainTag = []byte{bssPlain}
 
 var (
 	_ protocol.Process     = (*BSS)(nil)
@@ -59,12 +71,14 @@ func (p *BSS) Describe() protocol.Descriptor {
 func (p *BSS) Init(env protocol.Env) {
 	p.env = env
 	p.vcDel = vc.NewVector(env.NumProcs())
+	p.stamps = rows{n: env.NumProcs()}
 }
 
 // OnBroadcast stamps every copy with one vector timestamp.
 func (p *BSS) OnBroadcast(msgs []event.Message) {
 	self := int(p.env.Self())
-	tag := append([]byte{bssCast}, p.vcDel.Encode()...)
+	p.enc = p.vcDel.AppendEncode(append(p.enc[:0], bssCast))
+	tag := p.tags.Copy(p.enc)
 	p.vcDel.Tick(self) // our own broadcast counts as delivered locally
 	for _, m := range msgs {
 		p.env.Send(protocol.Wire{
@@ -84,7 +98,7 @@ func (p *BSS) OnInvoke(m event.Message) {
 		Kind:  protocol.UserWire,
 		Msg:   m.ID,
 		Color: m.Color,
-		Tag:   []byte{bssPlain},
+		Tag:   plainTag,
 	})
 }
 
@@ -97,30 +111,25 @@ func (p *BSS) OnReceive(w protocol.Wire) {
 	case bssPlain:
 		p.env.Deliver(w.Msg)
 	case bssCast:
-		tag, err := vc.DecodeVector(w.Tag[1:])
-		if err != nil {
-			return // malformed: drop; liveness check flags it
+		tag := w.Tag[1:]
+		if !sender(w.From, len(p.vcDel)) || vc.Vector(p.stamps.spare()).MergeEncoded(tag) != nil {
+			return // malformed or not of dimension n: drop; liveness check flags it
 		}
+		p.stamps.keep()
 		p.held = append(p.held, heldBSS{id: w.Msg, from: w.From, tag: tag})
 		p.drain()
 	}
 }
 
 // deliverable: next broadcast from its sender, and the sender's causal
-// past of broadcasts is already delivered here.
-func (p *BSS) deliverable(h heldBSS) bool {
-	from := int(h.from)
-	if from >= len(p.vcDel) || len(h.tag) != len(p.vcDel) {
+// past of broadcasts is already delivered here. ts is the copy's
+// vector timestamp.
+func (p *BSS) deliverable(from event.ProcID, ts []uint64) bool {
+	if ts[from] != p.vcDel[from] {
 		return false
 	}
-	if h.tag[from] != p.vcDel[from] {
-		return false
-	}
-	for k := range p.vcDel {
-		if k == from {
-			continue
-		}
-		if h.tag[k] > p.vcDel[k] {
+	for k, t := range ts {
+		if k != int(from) && t > p.vcDel[k] {
 			return false
 		}
 	}
@@ -132,10 +141,11 @@ func (p *BSS) drain() {
 		progress := false
 		for i := 0; i < len(p.held); i++ {
 			h := p.held[i]
-			if !p.deliverable(h) {
+			if !p.deliverable(h.from, p.stamps.at(i)) {
 				continue
 			}
-			p.held = append(p.held[:i], p.held[i+1:]...)
+			p.held = slices.Delete(p.held, i, i+1)
+			p.stamps.remove(i)
 			// Commit state before delivering (Deliver may reenter).
 			p.vcDel.Tick(int(h.from))
 			p.env.Deliver(h.id)

@@ -201,32 +201,102 @@ func TestSESMalformedTag(t *testing.T) {
 
 func TestSESCodecRoundTrip(t *testing.T) {
 	tm := vc.Vector{1, 2, 3}
-	vm := map[event.ProcID]vc.Vector{
-		2: {0, 1, 0},
-		0: {4, 0, 0},
-	}
-	tm2, entries, err := decodeSES(encodeSES(tm, vm))
+	vm := []vc.Vector{0: {4, 0, 0}, 2: {0, 1, 0}}
+	tag := appendSES(nil, tm, vm)
+	need, err := checkSES(tag, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tm2, tm) {
-		t.Fatalf("tm = %v", tm2)
+	if !reflect.DeepEqual(need, vm[2].Encode()) {
+		t.Fatalf("need = %x, want %x", need, vm[2].Encode())
 	}
-	if len(entries) != 2 || !reflect.DeepEqual(entries[2], vm[2]) || !reflect.DeepEqual(entries[0], vm[0]) {
-		t.Fatalf("entries = %v", entries)
+	enc, cnt, entries, err := splitSES(tag, 3)
+	if err != nil || !reflect.DeepEqual(enc, tm.Encode()) || cnt != 2 {
+		t.Fatalf("splitSES = %x, %d, %v", enc, cnt, err)
+	}
+	for _, want := range []int{0, 2} {
+		dst, vec, rest, err := nextEntry(entries, 3)
+		if err != nil || dst != want || !reflect.DeepEqual(vec, vm[want].Encode()) {
+			t.Fatalf("entry = %d %x %v, want %d %x", dst, vec, err, want, vm[want].Encode())
+		}
+		entries = rest
+	}
+	if len(entries) != 0 {
+		t.Fatalf("%d bytes after the last entry", len(entries))
 	}
 }
 
 func TestSESCodecErrors(t *testing.T) {
 	bad := [][]byte{
 		nil,
-		{1, 1},          // vector then missing count
-		{1, 1, 2, 0},    // count 2 but one truncated entry
-		{0, 0, 1, 1, 9}, // trailing garbage
+		{2, 1, 1},                            // vector then missing count
+		{2, 1, 1, 2, 0},                      // count 2 but one truncated entry
+		{2, 0, 0, 1, 1, 2, 0, 0, 9},          // trailing garbage
+		{2, 0, 0, 2, 1, 2, 0, 0, 0, 2, 0, 0}, // destinations out of order
+		{2, 0, 0, 1, 2, 2, 0, 0},             // destination out of range
+		{2, 0, 0, 1, 1, 1, 0},                // entry of another dimension
+		{1, 0, 0},                            // timestamp of another dimension
+		{2, 0, 0, 3, 0, 2, 0, 0, 1, 2, 0, 0}, // more entries than processes
 	}
 	for _, b := range bad {
-		if _, _, err := decodeSES(b); err == nil {
-			t.Errorf("decodeSES(%v) should fail", b)
+		if _, err := checkSES(b, 2, 0); err == nil {
+			t.Errorf("checkSES(%v) should fail", b)
 		}
+	}
+}
+
+// sendOne sends m from p: as a one-copy broadcast if p broadcasts
+// (BSS), else as an invoke.
+func sendOne(p protocol.Process, m event.Message) {
+	if b, ok := p.(protocol.Broadcaster); ok {
+		b.OnBroadcast([]event.Message{m})
+	} else {
+		p.OnInvoke(m)
+	}
+}
+
+// TestHostileTagsDropped: a tag that is not a clock of dimension
+// NumProcs is dropped without a delivery or a panic, and the receiver
+// still delivers the next honest message. RST's cases are a one-byte
+// 0x00 (a 0×0 matrix, which once panicked indexing it) and a 2×2 matrix
+// at n = 3 whose M[0][1] = 1 would read as "next from P0" if it were
+// taken for a 3×3 one.
+func TestHostileTagsDropped(t *testing.T) {
+	two := vc.NewMatrix(2)
+	two.Set(0, 1, 1)
+	cases := []struct {
+		name string
+		mk   func() protocol.Process
+		tag  []byte
+	}{
+		{"causal-rst/0x00", RSTMaker, []byte{0x00}},
+		{"causal-rst/2x2-at-n3", RSTMaker, two.Encode()},
+		{"causal-rst/4x4-at-n3", RSTMaker, vc.NewMatrix(4).Encode()},
+		{"causal-ses/0x00", SESMaker, []byte{0x00}},
+		{"causal-ses/2-vector-at-n3", SESMaker, appendSES(nil, vc.Vector{1, 0}, nil)},
+		{"causal-ses/entry-of-2", SESMaker, appendSES(nil, vc.Vector{1, 0, 0}, []vc.Vector{1: {0, 0}})},
+		{"causal-bss/cast-0x00", BSSMaker, []byte{bssCast, 0x00}},
+		{"causal-bss/2-vector-at-n3", BSSMaker, append([]byte{bssCast}, vc.Vector{0, 0}.Encode()...)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sender := c.mk()
+			senv := ptest.NewEnv(0, 3)
+			sender.Init(senv)
+			sendOne(sender, event.Message{ID: 0, From: 0, To: 1})
+			w := senv.TakeSent()[0]
+
+			p := c.mk()
+			env := ptest.NewEnv(1, 3)
+			p.Init(env)
+			p.OnReceive(protocol.Wire{From: 0, To: 1, Kind: protocol.UserWire, Msg: 7, Tag: c.tag})
+			if len(env.Delivered) != 0 {
+				t.Fatalf("hostile tag %x delivered %v", c.tag, env.DeliveredSeq())
+			}
+			p.OnReceive(w)
+			if got := env.DeliveredSeq(); !reflect.DeepEqual(got, []int{0}) {
+				t.Fatalf("after the hostile tag, delivered %v, want [0]", got)
+			}
+		})
 	}
 }

@@ -1,7 +1,7 @@
 package causal
 
 import (
-	"sort"
+	"cmp"
 
 	"msgorder/internal/event"
 	"msgorder/internal/protocol"
@@ -17,11 +17,13 @@ var (
 
 // Snapshot encodes the matrix clock, delivery counts and held buffer.
 // The held buffer is encoded in arrival order — the drain scan is
-// order-sensitive, so order IS state.
+// order-sensitive, so order IS state. Held tags are written as the
+// bytes they arrived as, which are their encoding.
 func (p *RST) Snapshot() []byte {
 	w := &p.snap
 	w.Reset()
-	w.Bytes(p.m.Encode())
+	p.enc = p.m.AppendEncode(p.enc[:0])
+	w.Bytes(p.enc)
 	w.Int(len(p.del))
 	for _, d := range p.del {
 		w.U64(d)
@@ -30,151 +32,212 @@ func (p *RST) Snapshot() []byte {
 	for _, h := range p.held {
 		w.Int(int(h.id))
 		w.Int(int(h.from))
-		w.Bytes(h.tag.Encode())
+		w.Bytes(h.tag)
 	}
 	return w.Out()
 }
 
-// Restore rebuilds the state onto a freshly Init'd instance.
+// Restore rebuilds the state onto a freshly Init'd instance. Every
+// clock must have dimension NumProcs and every count fit the bytes
+// left.
 func (p *RST) Restore(b []byte) error {
 	r := snapio.NewReader(b)
-	m, err := vc.DecodeMatrix(r.Bytes())
-	if err != nil {
-		return err
+	n, self := p.env.NumProcs(), int(p.env.Self())
+	m := vc.NewMatrix(n)
+	if err := m.MergeEncoded(r.Next(r.Int())); err != nil {
+		return cmp.Or(r.Err(), err)
 	}
-	del := make([]uint64, r.Int())
+	if r.Count(1) != n {
+		return cmp.Or(r.Err(), snapio.ErrCorrupt)
+	}
+	del := make([]uint64, n)
 	for i := range del {
 		del[i] = r.U64()
 	}
 	var held []heldRST
-	for i, n := 0, r.Int(); i < n; i++ {
-		h := heldRST{id: event.MsgID(r.Int()), from: event.ProcID(r.Int())}
-		if h.tag, err = vc.DecodeMatrix(r.Bytes()); err != nil {
-			return err
+	cols := rows{n: n}
+	for range r.Count(3) {
+		h := heldRST{id: event.MsgID(r.Int()), from: event.ProcID(r.Int()), tag: r.Bytes()}
+		if err := vc.MatrixColumn(cols.spare(), h.tag, self); err != nil || !sender(h.from, n) {
+			return cmp.Or(r.Err(), err, snapio.ErrCorrupt)
 		}
+		cols.keep()
 		held = append(held, h)
 	}
 	if err := r.Close(); err != nil {
 		return err
 	}
-	p.m, p.del, p.held = m, del, held
+	p.m, p.del, p.held, p.cols = m, del, held, cols
 	return nil
 }
 
 // Snapshot encodes the vector clock, per-destination send knowledge and
 // held buffer (in arrival order — the drain scan is order-sensitive).
+// A held message is written as its timestamp, its constraint for self
+// and its other entries, each vector as the bytes it arrived as.
 func (p *SES) Snapshot() []byte {
 	w := &p.snap
 	w.Reset()
-	w.Bytes(p.v.Encode())
-	writeVecMap(w, p.vm)
+	p.enc = p.v.AppendEncode(p.enc[:0])
+	w.Bytes(p.enc)
+	known := 0
+	for _, vec := range p.vm {
+		if vec != nil {
+			known++
+		}
+	}
+	w.Int(known)
+	for k, vec := range p.vm {
+		if vec != nil {
+			w.Int(k)
+			p.enc = vec.AppendEncode(p.enc[:0])
+			w.Bytes(p.enc)
+		}
+	}
 	w.Int(len(p.held))
+	n, self := p.env.NumProcs(), int(p.env.Self())
 	for _, h := range p.held {
 		w.Int(int(h.id))
-		w.Bytes(h.tm.Encode())
+		// The tag passed checkSES at OnReceive or Restore: no read fails.
+		tm, cnt, entries, _ := splitSES(h.tag, n)
+		w.Bytes(tm)
 		w.Bool(h.need != nil)
+		others := cnt
 		if h.need != nil {
-			w.Bytes(h.need.Encode())
+			w.Bytes(h.need)
+			others--
 		}
-		writeVecMap(w, h.rest)
+		w.Int(others)
+		for range cnt {
+			dst, vec, rest, _ := nextEntry(entries, n)
+			entries = rest
+			if dst != self {
+				w.Int(dst)
+				w.Bytes(vec)
+			}
+		}
 	}
 	return w.Out()
 }
 
-// Restore rebuilds the state onto a freshly Init'd instance.
+// Restore rebuilds the state onto a freshly Init'd instance. Every
+// vector must have dimension NumProcs and every count fit the bytes
+// left. A held message's tag is re-encoded from its parts.
 func (p *SES) Restore(b []byte) error {
 	r := snapio.NewReader(b)
-	v, err := vc.DecodeVector(r.Bytes())
+	n, self := p.env.NumProcs(), int(p.env.Self())
+	v, err := readVec(r, n)
 	if err != nil {
 		return err
 	}
-	vm, err := readVecMap(r)
+	vm, err := readVecs(r, n, -1)
 	if err != nil {
 		return err
 	}
 	var held []heldSES
-	for i, n := 0, r.Int(); i < n; i++ {
-		h := heldSES{id: event.MsgID(r.Int())}
-		if h.tm, err = vc.DecodeVector(r.Bytes()); err != nil {
+	needs := rows{n: n}
+	for range r.Count(4) {
+		id := event.MsgID(r.Int())
+		tm, err := readVec(r, n)
+		if err != nil {
 			return err
 		}
+		var need vc.Vector
 		if r.Bool() {
-			if h.need, err = vc.DecodeVector(r.Bytes()); err != nil {
+			if need, err = readVec(r, n); err != nil {
 				return err
 			}
 		}
-		if h.rest, err = readVecMap(r); err != nil {
+		entries, err := readVecs(r, n, self)
+		if err != nil {
 			return err
 		}
+		entries[self] = need
+		h := heldSES{id: id, tag: appendSES(nil, tm, entries)}
+		if h.need, err = checkSES(h.tag, n, self); err != nil {
+			return err
+		}
+		copy(needs.spare(), need)
+		needs.keep()
 		held = append(held, h)
 	}
 	if err := r.Close(); err != nil {
 		return err
 	}
-	p.v, p.vm, p.held = v, vm, held
+	p.v, p.vm, p.held, p.needs = v, vm, held, needs
 	return nil
 }
 
+// readVec reads one length-prefixed vector encoding of dimension n.
+func readVec(r *snapio.Reader, n int) (vc.Vector, error) {
+	v := vc.NewVector(n)
+	if err := v.MergeEncoded(r.Next(r.Int())); err != nil {
+		return nil, cmp.Or(r.Err(), err)
+	}
+	return v, nil
+}
+
+// readVecs reads a destination → vector map written in ascending
+// destination order into a slice indexed by destination (nil where
+// absent). Destinations are below n and never skip.
+func readVecs(r *snapio.Reader, n, skip int) ([]vc.Vector, error) {
+	vm := make([]vc.Vector, n)
+	last := -1
+	for range r.Count(2) {
+		k := r.Int()
+		if k <= last || k >= n || k == skip {
+			return nil, cmp.Or(r.Err(), snapio.ErrCorrupt)
+		}
+		last = k
+		v, err := readVec(r, n)
+		if err != nil {
+			return nil, err
+		}
+		vm[k] = v
+	}
+	return vm, r.Err()
+}
+
 // Snapshot encodes the delivery vector and held buffer (in arrival
-// order — the drain scan is order-sensitive).
+// order — the drain scan is order-sensitive), held timestamps as the
+// bytes they arrived as.
 func (p *BSS) Snapshot() []byte {
 	w := &p.snap
 	w.Reset()
-	w.Bytes(p.vcDel.Encode())
+	p.enc = p.vcDel.AppendEncode(p.enc[:0])
+	w.Bytes(p.enc)
 	w.Int(len(p.held))
 	for _, h := range p.held {
 		w.Int(int(h.id))
 		w.Int(int(h.from))
-		w.Bytes(h.tag.Encode())
+		w.Bytes(h.tag)
 	}
 	return w.Out()
 }
 
-// Restore rebuilds the state onto a freshly Init'd instance.
+// Restore rebuilds the state onto a freshly Init'd instance. Every
+// vector must have dimension NumProcs and every count fit the bytes
+// left.
 func (p *BSS) Restore(b []byte) error {
 	r := snapio.NewReader(b)
-	vcDel, err := vc.DecodeVector(r.Bytes())
+	n := p.env.NumProcs()
+	vcDel, err := readVec(r, n)
 	if err != nil {
 		return err
 	}
 	var held []heldBSS
-	for i, n := 0, r.Int(); i < n; i++ {
-		h := heldBSS{id: event.MsgID(r.Int()), from: event.ProcID(r.Int())}
-		if h.tag, err = vc.DecodeVector(r.Bytes()); err != nil {
-			return err
+	stamps := rows{n: n}
+	for range r.Count(3) {
+		h := heldBSS{id: event.MsgID(r.Int()), from: event.ProcID(r.Int()), tag: r.Bytes()}
+		if err := vc.Vector(stamps.spare()).MergeEncoded(h.tag); err != nil || !sender(h.from, n) {
+			return cmp.Or(r.Err(), err, snapio.ErrCorrupt)
 		}
+		stamps.keep()
 		held = append(held, h)
 	}
 	if err := r.Close(); err != nil {
 		return err
 	}
-	p.vcDel, p.held = vcDel, held
+	p.vcDel, p.held, p.stamps = vcDel, held, stamps
 	return nil
-}
-
-// writeVecMap encodes a proc→vector map in ascending key order.
-func writeVecMap(w *snapio.Writer, m map[event.ProcID]vc.Vector) {
-	w.Int(len(m))
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, int(k))
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		w.Int(k)
-		w.Bytes(m[event.ProcID(k)].Encode())
-	}
-}
-
-func readVecMap(r *snapio.Reader) (map[event.ProcID]vc.Vector, error) {
-	m := make(map[event.ProcID]vc.Vector)
-	for i, n := 0, r.Int(); i < n; i++ {
-		k := event.ProcID(r.Int())
-		v, err := vc.DecodeVector(r.Bytes())
-		if err != nil {
-			return nil, err
-		}
-		m[k] = v
-	}
-	return m, nil
 }

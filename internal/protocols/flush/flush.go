@@ -84,6 +84,10 @@ type Process struct {
 	// Receiver side, per source.
 	in   map[event.ProcID]*inbound
 	snap snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
+	// tags is the arena OnInvoke carves its (seq, barrier, kind) tags
+	// from, each encoded in tagBuf first.
+	tags   protocol.TagArena
+	tagBuf [2*binary.MaxVarintLen64 + 1]byte
 }
 
 type inbound struct {
@@ -131,7 +135,7 @@ func (p *Process) OnInvoke(m event.Message) {
 	if kind.isBarrier() {
 		p.lastBarrier[m.To] = seq
 	}
-	tag := binary.AppendUvarint(nil, seq)
+	tag := binary.AppendUvarint(p.tagBuf[:0], seq)
 	tag = binary.AppendUvarint(tag, barrier)
 	tag = append(tag, byte(kind))
 	p.env.Send(protocol.Wire{
@@ -139,7 +143,7 @@ func (p *Process) OnInvoke(m event.Message) {
 		Kind:  protocol.UserWire,
 		Msg:   m.ID,
 		Color: m.Color,
-		Tag:   tag,
+		Tag:   p.tags.Copy(tag),
 	})
 }
 

@@ -97,6 +97,10 @@ type Process struct {
 	lockBusy bool
 
 	snap snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
+	// tags is the arena control tags are carved from, each encoded in
+	// enc first (carve).
+	tags protocol.TagArena
+	enc  []byte
 }
 
 var (
@@ -180,7 +184,7 @@ func (p *Process) pumpLock() {
 func (p *Process) onGrant() {
 	p.phase = phaseFreeze
 	p.frozen = make(map[event.ProcID][]uint64, p.n-1)
-	id := uint64(p.reds[0].ID)
+	tag := p.carve(uint64(p.reds[0].ID))
 	for q := event.ProcID(0); int(q) < p.n; q++ {
 		if q == p.self {
 			continue
@@ -189,7 +193,7 @@ func (p *Process) onGrant() {
 			To:   q,
 			Kind: protocol.ControlWire,
 			Ctrl: ctrlFreeze,
-			Tag:  binary.AppendUvarint(nil, id),
+			Tag:  tag,
 		})
 	}
 	p.checkFrozen()
@@ -219,9 +223,7 @@ func (p *Process) checkFrozen() {
 			}
 			continue
 		}
-		tag := binary.AppendUvarint(nil, id)
-		tag = binary.AppendUvarint(tag, want)
-		p.env.Send(protocol.Wire{To: r, Kind: protocol.ControlWire, Ctrl: ctrlDrain, Tag: tag})
+		p.env.Send(protocol.Wire{To: r, Kind: protocol.ControlWire, Ctrl: ctrlDrain, Tag: p.carve(id, want)})
 	}
 	p.checkDrained()
 }
@@ -252,7 +254,7 @@ func (p *Process) OnReceive(w protocol.Wire) {
 			// This process is the new base station: the handoff is
 			// complete, release every frozen peer.
 			p.freezes--
-			id := binary.AppendUvarint(nil, uint64(w.Msg))
+			id := p.carve(uint64(w.Msg))
 			for q := event.ProcID(0); int(q) < p.n; q++ {
 				if q == p.self {
 					continue
@@ -278,11 +280,7 @@ func (p *Process) OnReceive(w protocol.Wire) {
 	case ctrlFreeze:
 		p.freezes++
 		tag, _ := binary.Uvarint(w.Tag)
-		reply := binary.AppendUvarint(nil, tag)
-		for _, s := range p.sent {
-			reply = binary.AppendUvarint(reply, s)
-		}
-		p.env.Send(protocol.Wire{To: w.From, Kind: protocol.ControlWire, Ctrl: ctrlFrozen, Tag: reply})
+		p.env.Send(protocol.Wire{To: w.From, Kind: protocol.ControlWire, Ctrl: ctrlFrozen, Tag: p.carve(tag, p.sent...)})
 	case ctrlFrozen:
 		id, vec, ok := decodeFrozen(w.Tag, p.n)
 		if !ok || p.phase != phaseFreeze || len(p.reds) == 0 || id != p.reds[0].ID {
@@ -328,8 +326,18 @@ func (p *Process) checkDrainReply() {
 		To:   p.drainFrom,
 		Kind: protocol.ControlWire,
 		Ctrl: ctrlDrained,
-		Tag:  binary.AppendUvarint(nil, uint64(p.drainRed)),
+		Tag:  p.carve(uint64(p.drainRed)),
 	})
+}
+
+// carve encodes first, then rest, as uvarints into enc and carves them
+// from the arena as one tag.
+func (p *Process) carve(first uint64, rest ...uint64) []byte {
+	p.enc = binary.AppendUvarint(p.enc[:0], first)
+	for _, v := range rest {
+		p.enc = binary.AppendUvarint(p.enc, v)
+	}
+	return p.tags.Copy(p.enc)
 }
 
 // onThaw ends the handoff at the mobile (matched by red id) or

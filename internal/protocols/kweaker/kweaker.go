@@ -30,6 +30,10 @@ type Process struct {
 	// Receiver side, per source.
 	in   map[event.ProcID]*inbound
 	snap snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
+	// tags is the arena OnInvoke carves sequence-number tags from, each
+	// encoded in tagBuf first.
+	tags   protocol.TagArena
+	tagBuf [binary.MaxVarintLen64]byte
 }
 
 type inbound struct {
@@ -77,7 +81,7 @@ func (p *Process) OnInvoke(m event.Message) {
 		Kind:  protocol.UserWire,
 		Msg:   m.ID,
 		Color: m.Color,
-		Tag:   binary.AppendUvarint(nil, seq),
+		Tag:   p.tags.Copy(binary.AppendUvarint(p.tagBuf[:0], seq)),
 	})
 }
 

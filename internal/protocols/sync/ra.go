@@ -31,6 +31,10 @@ type RA struct {
 	replies    int
 	deferred   []event.ProcID
 	snap       snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
+	// tags is the arena request tags are carved from, each encoded in
+	// tagBuf first.
+	tags   protocol.TagArena
+	tagBuf [binary.MaxVarintLen64]byte
 }
 
 // Control message types (disjoint from the sequencer's).
@@ -74,7 +78,7 @@ func (p *RA) tryRequest() {
 		p.enterCS()
 		return
 	}
-	tag := binary.AppendUvarint(nil, p.reqTS)
+	tag := p.tags.Copy(binary.AppendUvarint(p.tagBuf[:0], p.reqTS))
 	for j := 0; j < n; j++ {
 		if event.ProcID(j) == p.env.Self() {
 			continue

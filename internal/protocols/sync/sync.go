@@ -45,6 +45,10 @@ type Process struct {
 	queue []grant
 	busy  bool
 	snap  snapio.Writer // Snapshot's encoding, reused (protocol.Snapshotter)
+	// tags is the arena control tags are carved from, each encoded in
+	// tagBuf first.
+	tags   protocol.TagArena
+	tagBuf [binary.MaxVarintLen64]byte
 }
 
 type grant struct {
@@ -78,7 +82,7 @@ func (p *Process) OnInvoke(m event.Message) {
 		To:   sequencerID,
 		Kind: protocol.ControlWire,
 		Ctrl: ctrlReq,
-		Tag:  binary.AppendUvarint(nil, uint64(m.ID)),
+		Tag:  p.tags.Copy(binary.AppendUvarint(p.tagBuf[:0], uint64(m.ID))),
 	})
 }
 
@@ -140,6 +144,6 @@ func (p *Process) pump() {
 		To:   g.sender,
 		Kind: protocol.ControlWire,
 		Ctrl: ctrlGo,
-		Tag:  binary.AppendUvarint(nil, uint64(g.msg)),
+		Tag:  p.tags.Copy(binary.AppendUvarint(p.tagBuf[:0], uint64(g.msg))),
 	})
 }

@@ -162,12 +162,15 @@ echo "== allocation budget (steady-path gate) =="
 # the WAL's copy of the blob, and the host's whole checkpoint of a
 # 1000-domain sharded process. Per-message storage costs what it holds:
 # a node's user log allocates one chunk per chunk filled, and fifo
-# carves its tags from an arena (≤ 1/64 allocation per invoke). Run
+# carves its tags from an arena (≤ 1/64 allocation per invoke). So does
+# RST at n = 8, whose tags are read where they lie: 32 invoke → receive
+# → deliver round trips allocate at most one arena chunk, the receive →
+# deliver half nothing, and a warm RST, SES or BSS Snapshot nothing. Run
 # without -race (the detector's instrumentation allocates; the tests
 # are build-tagged !race).
 go test -run 'AllocationBudget|ArenaSpansFrames|SnapshotAllocsScaleWithDirtyDomains|CheckpointCycleReusesJournalArray' \
 	./internal/netmesh/ ./internal/chanmux/ ./internal/host/ ./internal/shard/ ./internal/crash/ ./internal/transport/ \
-	./internal/protocols/fifo/
+	./internal/protocols/fifo/ ./internal/protocols/causal/
 
 echo "== benchmark module (stack signature gate) =="
 # benchmark/ is its own module compiled against this one (replace
